@@ -24,7 +24,7 @@ from . import __version__
 from .anneal import AnnealConfig, anneal
 from .bank import BankGenSpec, generate_bank, load_bank, save_bank
 from .counts import binom_total, enumerate_exact, extrapolate_counts
-from .errors import BankFormatError, FixedFormError, ParameterError
+from .errors import FileFormatError, FixedFormError, ParameterError
 from .irt import AbilityGrid, ItemBank, Curve, test_information
 from .metrics import DEFAULT_EPSILON, fit_report
 from .sampling import MODES, read_sweep_csv, sweep, write_sweep_csv
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"fixedform: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BankFormatError as exc:
+    except FileFormatError as exc:
         print(f"fixedform: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except json.JSONDecodeError as exc:

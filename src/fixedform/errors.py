@@ -25,7 +25,11 @@ class UnknownItemError(FixedFormError, KeyError):
     """A test references an item id that does not exist in the bank."""
 
 
-class BankFormatError(FixedFormError, ValueError):
+class FileFormatError(FixedFormError, ValueError):
+    """An input file is malformed; the message names the offending line."""
+
+
+class BankFormatError(FileFormatError):
     """An item-bank file is malformed; the message names the offending line."""
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "item_information",
     "test_information",
     "information_matrix",
+    "form_curves",
     "standard_error",
 ]
 
@@ -214,23 +215,29 @@ def information_matrix(bank: ItemBank, grid: AbilityGrid) -> np.ndarray:
     return _information(a, b, c, grid.nodes[None, :])
 
 
-def _curve_values_for_ids(bank: ItemBank, ids, grid: AbilityGrid) -> np.ndarray:
-    """Information values for an id sequence; empty ids give the zero curve."""
-    idx = np.asarray(list(ids), dtype=np.intp)
-    if idx.size == 0:
-        return np.zeros(grid.num_points)
-    bad = [int(i) for i in idx if i < 0 or i >= bank.m]
+def form_curves(info: np.ndarray, ids) -> np.ndarray:
+    """Information curves of k forms at once; ``ids`` has shape (k, n).
+
+    Row r adds the ``info`` rows ``ids[r]`` left to right, the order of
+    :func:`test_information`, so it matches that curve bit for bit.
+    """
+    columns = np.ascontiguousarray(np.asarray(ids, dtype=np.intp).T)
+    curves = info.take(columns[0], axis=0)
+    for column in columns[1:]:
+        curves += info.take(column, axis=0)
+    return curves
+
+
+def test_information(bank: ItemBank, test: TestForm, grid: AbilityGrid) -> Curve:
+    """Test information curve: nodewise sum of the items' information."""
+    idx = np.asarray(test.item_ids, dtype=np.intp)
+    bad = [int(i) for i in idx if i >= bank.m]
     if bad:
         raise UnknownItemError(f"item ids {bad} not in bank of {bank.m} items")
     a = bank.a_values[idx][:, None]
     b = bank.b_values[idx][:, None]
     c = bank.c_values[idx][:, None]
-    return _information(a, b, c, grid.nodes[None, :]).sum(axis=0)
-
-
-def test_information(bank: ItemBank, test: TestForm, grid: AbilityGrid) -> Curve:
-    """Test information curve: nodewise sum of the items' information."""
-    return Curve(grid, _curve_values_for_ids(bank, test.item_ids, grid))
+    return Curve(grid, _information(a, b, c, grid.nodes[None, :]).sum(axis=0))
 
 
 def standard_error(info: float) -> float:

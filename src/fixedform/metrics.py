@@ -15,7 +15,7 @@ outright (strictly above the target at every node).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .irt import AbilityGrid, Curve
 
 __all__ = [
     "DEFAULT_EPSILON",
+    "FIT_FIELDS",
     "trapezoid_weights",
+    "check_epsilon",
     "area_under",
     "l2_distance",
     "lambda_of",
@@ -32,12 +34,16 @@ __all__ = [
     "is_exceeding",
     "is_absolute_meeting",
     "is_relative_meeting",
+    "fit_batch",
     "FitReport",
     "fit_report",
 ]
 
 # Default L2 tolerance for the meeting predicates; configurable everywhere.
 DEFAULT_EPSILON = 1.225
+
+# What fit_batch can compute; also FitReport's fields and JSON keys, in order.
+FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
 
 
 def trapezoid_weights(grid: AbilityGrid) -> np.ndarray:
@@ -53,8 +59,9 @@ def _require_same_grid(f: Curve, g: Curve) -> None:
         raise GridMismatchError(f"curves live on different grids: {f.grid} vs {g.grid}")
 
 
-def _require_positive_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
+def check_epsilon(epsilon: float | None) -> None:
+    """Reject a missing meeting tolerance or one that is not finite and > 0."""
+    if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
@@ -63,11 +70,62 @@ def area_under(f: Curve) -> float:
     return float((f.values * trapezoid_weights(f.grid)).sum())
 
 
+def _l2_rows(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # Row-wise sqrt(integral diff**2); squares diff in place.
+    diff *= diff
+    diff *= weights
+    dist = diff.sum(axis=1)
+    return np.sqrt(dist, out=dist)
+
+
+def fit_batch(
+    curves: np.ndarray,
+    target_curve: Curve,
+    epsilon: float | None = None,
+    fields: tuple[str, ...] = FIT_FIELDS,
+) -> dict[str, np.ndarray]:
+    """Fit metrics of the k test curves in the rows of ``curves``.
+
+    Computes only the requested ``FIT_FIELDS`` names, one length-k array
+    each; "absolute" and "relative" need ``epsilon`` (not validated here).
+    Rows match the scalar functions bit for bit: same operations, same
+    order. A zero-area row gets an infinite or NaN lambda and is not
+    relatively meeting.
+    """
+    target = target_curve.values
+    weights = trapezoid_weights(target_curve.grid)
+    out: dict[str, np.ndarray] = {}
+    if "exceeding" in fields:
+        out["exceeding"] = np.all(curves > target, axis=1)
+    if "l2" in fields or "absolute" in fields:
+        out["l2"] = _l2_rows(curves - target, weights)
+    if "absolute" in fields:
+        out["absolute"] = out["l2"] < epsilon
+    if "energy" in fields:
+        gap = target - curves
+        np.maximum(gap, 0.0, out=gap)
+        gap *= weights
+        out["energy"] = gap.sum(axis=1)
+    if "lambda" in fields or "relative" in fields:
+        s_target = float((target * weights).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out["lambda"] = lam = s_target / (curves * weights).sum(axis=1)
+            if "relative" in fields:
+                scaled = lam[:, None] * curves
+                scaled -= target
+                out["relative"] = (lam < 1.0) & (_l2_rows(scaled, weights) < epsilon)
+    return {name: out[name] for name in fields}
+
+
+def _fit_one(test_curve: Curve, target_curve: Curve, epsilon, *fields: str) -> list:
+    _require_same_grid(test_curve, target_curve)
+    fit = fit_batch(test_curve.values[None, :], target_curve, epsilon, fields)
+    return [fit[name][0].item() for name in fields]
+
+
 def l2_distance(f: Curve, g: Curve) -> float:
     """L2 distance between two curves on a shared grid."""
-    _require_same_grid(f, g)
-    diff = f.values - g.values
-    return math.sqrt(float((diff * diff * trapezoid_weights(f.grid)).sum()))
+    return _fit_one(f, g, None, "l2")[0]
 
 
 def lambda_of(s_target: float, s_test: float) -> float:
@@ -83,21 +141,18 @@ def deficiency_energy(test_curve: Curve, target_curve: Curve) -> float:
     Zero exactly when the test curve is >= the target at every node, since
     the quadrature weights are strictly positive.
     """
-    _require_same_grid(test_curve, target_curve)
-    gap = np.maximum(target_curve.values - test_curve.values, 0.0)
-    return float((gap * trapezoid_weights(test_curve.grid)).sum())
+    return _fit_one(test_curve, target_curve, None, "energy")[0]
 
 
 def is_exceeding(test_curve: Curve, target_curve: Curve) -> bool:
     """True iff the test curve is strictly above the target at every node."""
-    _require_same_grid(test_curve, target_curve)
-    return bool(np.all(test_curve.values > target_curve.values))
+    return _fit_one(test_curve, target_curve, None, "exceeding")[0]
 
 
 def is_absolute_meeting(test_curve: Curve, target_curve: Curve, epsilon: float) -> bool:
     """True iff the L2 distance between test and target is under ``epsilon``."""
-    _require_positive_epsilon(epsilon)
-    return l2_distance(test_curve, target_curve) < epsilon
+    check_epsilon(epsilon)
+    return _fit_one(test_curve, target_curve, epsilon, "absolute")[0]
 
 
 def is_relative_meeting(
@@ -109,13 +164,8 @@ def is_relative_meeting(
     relatively iff lambda < 1 (the test carries more total information) and
     the downscaled curve lambda * test fits the target within ``epsilon``.
     """
-    _require_positive_epsilon(epsilon)
-    _require_same_grid(test_curve, target_curve)
-    lam = lambda_of(area_under(target_curve), area_under(test_curve))
-    if lam >= 1.0:
-        return False, lam
-    scaled = Curve(test_curve.grid, lam * test_curve.values)
-    return l2_distance(scaled, target_curve) < epsilon, lam
+    report = fit_report(test_curve, target_curve, epsilon)
+    return report.relative, report.lambda_
 
 
 @dataclass(frozen=True)
@@ -130,24 +180,13 @@ class FitReport:
     relative: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "lambda": self.lambda_,
-            "energy": self.energy,
-            "exceeding": self.exceeding,
-            "absolute": self.absolute,
-            "relative": self.relative,
-        }
+        return dict(zip(FIT_FIELDS, astuple(self)))
 
 
 def fit_report(test_curve: Curve, target_curve: Curve, epsilon: float) -> FitReport:
     """Evaluate all distances and predicates at once."""
-    relative, lam = is_relative_meeting(test_curve, target_curve, epsilon)
-    return FitReport(
-        l2=l2_distance(test_curve, target_curve),
-        lambda_=lam,
-        energy=deficiency_energy(test_curve, target_curve),
-        exceeding=is_exceeding(test_curve, target_curve),
-        absolute=is_absolute_meeting(test_curve, target_curve, epsilon),
-        relative=relative,
-    )
+    check_epsilon(epsilon)
+    _require_same_grid(test_curve, target_curve)
+    # Raises on a test curve without positive area, where lambda is undefined.
+    lambda_of(area_under(target_curve), area_under(test_curve))
+    return FitReport(*_fit_one(test_curve, target_curve, epsilon, *FIT_FIELDS))

@@ -17,13 +17,13 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .irt import AbilityGrid, Curve, ItemBank, TestForm, information_matrix
-from .metrics import trapezoid_weights
+from .errors import FileFormatError, ParameterError
+from .irt import Curve, ItemBank, TestForm, form_curves, information_matrix
+from .metrics import check_epsilon, fit_batch
 
 __all__ = [
     "MODES",
@@ -43,9 +43,9 @@ MODES = ("absolute", "relative", "exceeding")
 # produces, so it is part of the reproducibility contract, not a tunable.
 _CHUNK = 8192
 
-# Curves materialized at once within a chunk; memory knob only, results do
-# not depend on it because every test's curve is reduced independently.
-_SUBBATCH = 1024
+# Curves materialized at once within a chunk; results do not depend on it.
+# 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
+_SUBBATCH = 256
 
 SWEEP_HEADER = ["n", "mu_A", "se_A", "mu_R", "se_R", "mu_E", "se_E", "K_meeting", "K_exceeding", "seed"]
 
@@ -78,11 +78,7 @@ class SweepRow:
 def draw_random_test(bank: ItemBank, n: int, rng: np.random.Generator) -> TestForm:
     """Draw one test uniformly over all C(m, n) subsets (partial Fisher-Yates)."""
     _check_length(n, bank.m)
-    ids = np.arange(bank.m)
-    for j in range(n):
-        r = int(rng.integers(j, bank.m))
-        ids[j], ids[r] = ids[r], ids[j]
-    return TestForm.from_ids(ids[:n])
+    return TestForm.from_ids(_sample_batch(bank.m, n, 1, rng)[0])
 
 
 def _check_length(n: int, m: int) -> None:
@@ -92,96 +88,46 @@ def _check_length(n: int, m: int) -> None:
 
 def _sample_batch(m: int, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Partial Fisher-Yates over the whole batch at once; rows are id sets."""
-    ids = np.tile(np.arange(m), (size, 1))
-    rows = np.arange(size)
+    # Column d holds draw d's permutation, so row j is contiguous.
+    ids = np.repeat(np.arange(m, dtype=np.min_scalar_type(m))[:, None], size, axis=1)
+    flat = ids.reshape(-1)
+    draws = np.arange(size)
     for j in range(n):
-        r = rng.integers(j, m, size=size)
-        ids[rows, j], ids[rows, r] = ids[rows, r], ids[rows, j]
-    return ids[:, :n]
+        swap = rng.integers(j, m, size=size) * size + draws
+        picked = flat[swap]
+        flat[swap] = ids[j]
+        ids[j] = picked
+    return ids[:n].T
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = [_CHUNK] * (total // _CHUNK)
-    if total % _CHUNK:
-        sizes.append(total % _CHUNK)
-    return sizes
-
-
-def _count_chunk_hits(
-    info: np.ndarray,
-    m: int,
-    n: int,
-    seed: int,
-    chunk_index: int,
-    chunk_size: int,
-    classify: Callable[[np.ndarray], int],
-) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    ids = _sample_batch(m, n, chunk_size, rng)
-    hits = 0
-    for lo in range(0, chunk_size, _SUBBATCH):
-        curves = info[ids[lo : lo + _SUBBATCH]].sum(axis=1)
-        hits += classify(curves)
-    return hits
-
-
-def _run_estimate(
+def _estimate(
     bank: ItemBank,
     n: int,
     draws: int,
     seed: int,
     workers: int,
-    classify: Callable[[np.ndarray], int],
-    grid: AbilityGrid,
-) -> int:
-    info = information_matrix(bank, grid)
-    sizes = _chunk_sizes(draws)
-    if workers <= 1:
-        return sum(
-            _count_chunk_hits(info, bank.m, n, seed, i, size, classify)
-            for i, size in enumerate(sizes)
-        )
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_count_chunk_hits, info, bank.m, n, seed, i, size, classify)
-            for i, size in enumerate(sizes)
-        ]
-        return sum(f.result() for f in futures)
+    mode: str,
+    target_curve: Curve,
+    epsilon: float | None,
+) -> EstimateResult:
+    info = information_matrix(bank, target_curve.grid)
 
+    def chunk_hits(start: int) -> int:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, start // _CHUNK)))
+        ids = _sample_batch(bank.m, n, min(_CHUNK, draws - start), rng)
+        hits = 0
+        for lo in range(0, len(ids), _SUBBATCH):
+            curves = form_curves(info, ids[lo : lo + _SUBBATCH])
+            hits += int(fit_batch(curves, target_curve, epsilon, (mode,))[mode].sum())
+        return hits
 
-def _exceeding_classifier(target_values: np.ndarray) -> Callable[[np.ndarray], int]:
-    def classify(curves: np.ndarray) -> int:
-        return int(np.all(curves > target_values, axis=1).sum())
-
-    return classify
-
-
-def _absolute_classifier(
-    target_values: np.ndarray, weights: np.ndarray, epsilon: float
-) -> Callable[[np.ndarray], int]:
-    def classify(curves: np.ndarray) -> int:
-        diff = curves - target_values
-        dist = np.sqrt((diff * diff * weights).sum(axis=1))
-        return int((dist < epsilon).sum())
-
-    return classify
-
-
-def _relative_classifier(
-    target_values: np.ndarray, weights: np.ndarray, epsilon: float, s_target: float
-) -> Callable[[np.ndarray], int]:
-    def classify(curves: np.ndarray) -> int:
-        s_test = (curves * weights).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            lam = np.where(s_test > 0.0, s_target / s_test, np.inf)
-        diff = lam[:, None] * curves - target_values
-        dist = np.sqrt((diff * diff * weights).sum(axis=1))
-        return int(((lam < 1.0) & (dist < epsilon)).sum())
-
-    return classify
-
-
-def _finish(n, draws, hits, mode, epsilon, seed) -> EstimateResult:
+    starts = range(0, draws, _CHUNK)
+    workers = min(workers, len(starts))
+    if workers == 1:
+        hits = sum(map(chunk_hits, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(chunk_hits, starts))
     mu = hits / draws
     return EstimateResult(
         n=n,
@@ -195,12 +141,14 @@ def _finish(n, draws, hits, mode, epsilon, seed) -> EstimateResult:
     )
 
 
-def _validate_common(bank: ItemBank, n: int, draws: int, seed: int) -> None:
+def _validate_common(bank: ItemBank, n: int, draws: int, seed: int, workers: int) -> None:
     _check_length(n, bank.m)
     if draws < 1:
         raise ParameterError(f"draw count must be >= 1, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
 
 
 def estimate_mu(
@@ -220,25 +168,16 @@ def estimate_mu(
     is then required). Relative meeting has its own estimator because it
     also scales each drawn form; see :func:`estimate_mu_relative`.
     """
-    _validate_common(bank, n, draws, seed)
+    _validate_common(bank, n, draws, seed, workers)
     if mode == "exceeding":
-        classify = _exceeding_classifier(target_curve.values)
-        eps: float | None = None
+        epsilon = None
     elif mode == "absolute":
-        if epsilon is None:
-            raise ParameterError("absolute mode requires epsilon")
-        if not (math.isfinite(epsilon) and epsilon > 0.0):
-            raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
-        classify = _absolute_classifier(
-            target_curve.values, trapezoid_weights(target_curve.grid), epsilon
-        )
-        eps = epsilon
+        check_epsilon(epsilon)
     elif mode == "relative":
         raise ParameterError("use estimate_mu_relative for relative meeting")
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
-    hits = _run_estimate(bank, n, draws, seed, workers, classify, target_curve.grid)
-    return _finish(n, draws, hits, mode, eps, seed)
+    return _estimate(bank, n, draws, seed, workers, mode, target_curve, epsilon)
 
 
 def estimate_mu_relative(
@@ -252,18 +191,13 @@ def estimate_mu_relative(
 ) -> EstimateResult:
     """Estimate the fraction of n-item forms that relatively meet the target.
 
-    The target area is computed once; each drawn form is scaled by
-    lambda = target area / form area and counts as a hit iff lambda < 1 and
-    the scaled curve fits the target within ``epsilon``.
+    Each drawn form is scaled by lambda = target area / form area and
+    counts as a hit iff lambda < 1 and the scaled curve fits the target
+    within ``epsilon``.
     """
-    _validate_common(bank, n, draws, seed)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
-    weights = trapezoid_weights(target_curve.grid)
-    s_target = float((target_curve.values * weights).sum())
-    classify = _relative_classifier(target_curve.values, weights, epsilon, s_target)
-    hits = _run_estimate(bank, n, draws, seed, workers, classify, target_curve.grid)
-    return _finish(n, draws, hits, "relative", epsilon, seed)
+    _validate_common(bank, n, draws, seed, workers)
+    check_epsilon(epsilon)
+    return _estimate(bank, n, draws, seed, workers, "relative", target_curve, epsilon)
 
 
 def _subseed(master_seed: int, n: int, mode: str) -> int:
@@ -349,7 +283,10 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 
 
 def read_sweep_csv(path) -> list[dict]:
-    """Read a sweep CSV back; empty cells become None."""
+    """Read a sweep CSV back; empty cells become None.
+
+    A row with the wrong cell count or a bad cell raises FileFormatError.
+    """
     out: list[dict] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -359,13 +296,18 @@ def read_sweep_csv(path) -> list[dict]:
         for row in reader:
             if not row:
                 continue
-            record: dict = {"n": int(row[0]), "seed": int(row[9])}
-            for key, cell in zip(SWEEP_HEADER[1:9], row[1:9]):
-                if cell == "":
-                    record[key] = None
-                elif key.startswith("K_"):
-                    record[key] = int(cell)
-                else:
-                    record[key] = float(cell)
+            try:
+                if len(row) != len(SWEEP_HEADER):
+                    raise ValueError(f"{len(row)} cells, expected {len(SWEEP_HEADER)}")
+                record: dict = {"n": int(row[0]), "seed": int(row[9])}
+                for key, cell in zip(SWEEP_HEADER[1:9], row[1:9]):
+                    if cell == "":
+                        record[key] = None
+                    elif key.startswith("K_"):
+                        record[key] = int(cell)
+                    else:
+                        record[key] = float(cell)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}, line {reader.line_num}: {exc}") from None
             out.append(record)
     return out

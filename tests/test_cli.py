@@ -128,6 +128,8 @@ class TestSweepCommand:
             {"--n-to": "2"},
             {"--modes": "sideways"},
             {"--K": "0"},
+            {"--workers": "0"},
+            {"--workers": "-3"},
         ],
     )
     def test_usage_errors(self, tmp_path, bank12_csv, scaled_target_arg, over, capsys):
@@ -316,6 +318,37 @@ class TestCountsCommand:
         code = main(["counts", "--sweep", str(tmp_path / "ghost.csv"), "--m", "12",
                      "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["3,1.0,0.0,1.0,0.0", "3,1.0,0.0,1.0,0.0,abc,0.0,100,100,0"],
+        ids=["short-row", "non-numeric-cell"],
+    )
+    def test_malformed_sweep_rows_are_io_errors(self, tmp_path, capsys, bad_row):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2], m=12)
+        with open(sweep_csv, "a") as fh:
+            fh.write(bad_row + "\n")
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12",
+                     "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("fixedform: error:") and "line 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("mu", ["2.0", "nan", "inf", "-0.5"])
+    def test_ratios_outside_the_unit_interval_are_usage_errors(self, tmp_path, capsys, mu):
+        # At m = 30, n = 6 a ratio of 2 would claim more forms than C(30, 6).
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [5, 6], m=30, mu=0.5)
+        text = sweep_csv.read_text().replace("6,0.5,0.0,0.5,0.0,0.5,", f"6,0.5,0.0,0.5,0.0,{mu},")
+        sweep_csv.write_text(text)
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "30", "--anchor-n", "5",
+                     "--modes", "exceeding", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_USAGE
+        assert "fixedform: error:" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_sweep_without_the_requested_mode_is_a_usage_error(
         self, tmp_path, bank12_csv, scaled_target_arg, capsys

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -156,3 +158,46 @@ class TestEnumerateExact:
     def test_bad_length(self, bank12, scaled_curve_12):
         with pytest.raises(ParameterError, match="test length"):
             enumerate_exact(bank12, 0, scaled_curve_12, DEFAULT_EPSILON)
+
+
+def recount(bank, n, target_curve, epsilon):
+    """Classify every form one at a time with the scalar fit report."""
+    counts = {"absolute": 0, "relative": 0, "exceeding": 0}
+    for ids in itertools.combinations(range(bank.m), n):
+        curve = test_information(bank, TestForm(ids), target_curve.grid)
+        report = fit_report(curve, target_curve, epsilon)
+        for name in counts:
+            counts[name] += getattr(report, name)
+    return counts
+
+
+class TestEnumerateMatchesPerFormRecount:
+    @pytest.mark.parametrize("epsilon", [0.5, DEFAULT_EPSILON, 2.0])
+    def test_every_length_of_bank12(self, bank12, scaled_curve_12, epsilon):
+        for n in range(1, bank12.m + 1):
+            counts = enumerate_exact(bank12, n, scaled_curve_12, epsilon)
+            assert counts.total == math.comb(bank12.m, n)
+            assert counts._asdict() == {"total": counts.total, **recount(bank12, n, scaled_curve_12, epsilon)}
+
+    def test_several_chunks_ending_in_a_partial_one(self, scaled_curve_12):
+        # C(16, 5) = 4,368 forms: eight full 512-form chunks and one of 272.
+        bank16 = generate_bank(BankGenSpec(m=16, seed=6))
+        counts = enumerate_exact(bank16, 5, scaled_curve_12, DEFAULT_EPSILON)
+        assert counts.total == 4368
+        assert counts._asdict() == {"total": 4368, **recount(bank16, 5, scaled_curve_12, DEFAULT_EPSILON)}
+        assert min(counts) > 0
+
+    def test_memory_does_not_grow_with_the_form_count(self, scaled_curve_12):
+        # C(20, 6) = 38,760 curves would take 37 MB if held at once.
+        bank20 = generate_bank(BankGenSpec(m=20, seed=6))
+        tracemalloc.start()
+        try:
+            enumerate_exact(bank20, 6, scaled_curve_12, DEFAULT_EPSILON)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_bad_epsilon_is_refused_up_front(self, bank12, scaled_curve_12):
+        with pytest.raises(ParameterError, match="epsilon"):
+            enumerate_exact(bank12, 4, scaled_curve_12, 0.0)

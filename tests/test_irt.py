@@ -18,6 +18,7 @@ from fixedform import (
     standard_error,
     test_information,
 )
+from fixedform.irt import form_curves
 
 abilities = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 discriminations = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -196,6 +197,28 @@ class TestTestInformation:
     def test_unknown_item_rejected(self, bank12, grid):
         with pytest.raises(UnknownItemError):
             test_information(bank12, TestForm.from_ids([0, 99]), grid)
+
+
+class TestFormCurves:
+    def test_bitwise_equal_to_test_information(self, bank300, grid):
+        # Same summation order as the per-form route, so not just close:
+        # every bit of every node agrees, for sorted and unsorted id rows.
+        rng = np.random.default_rng(3)
+        info = information_matrix(bank300, grid)
+        for n in (1, 2, 7, 65, 300):
+            ids = np.array([rng.permutation(bank300.m)[:n] for _ in range(20)])
+            curves = form_curves(info, ids)
+            assert curves.shape == (20, grid.num_points)
+            assert curves.tobytes() == info[ids].sum(axis=1).tobytes()
+            for row, curve in zip(np.sort(ids, axis=1), form_curves(info, np.sort(ids, axis=1))):
+                expected = test_information(bank300, TestForm.from_ids(row), grid).values
+                assert curve.tobytes() == expected.tobytes()
+
+    def test_does_not_modify_the_matrix(self, bank12, grid):
+        info = information_matrix(bank12, grid)
+        before = info.copy()
+        form_curves(info, [[0, 1, 2], [3, 4, 5]])
+        assert np.array_equal(info, before)
 
 
 class TestStandardError:

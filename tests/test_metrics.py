@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixedform import (
     AbilityGrid,
@@ -10,6 +11,8 @@ from fixedform import (
     ItemBank,
     ParameterError,
     TestForm,
+    builtin_lsat_target,
+    tabulate_target,
     area_under,
     deficiency_energy,
     fit_report,
@@ -22,6 +25,7 @@ from fixedform import (
     test_information,
     trapezoid_weights,
 )
+from fixedform.metrics import FIT_FIELDS, fit_batch
 
 
 def const_curve(grid, value):
@@ -183,3 +187,76 @@ class TestFitReport:
         assert doc["relative"] is True  # scaled back down it matches exactly
         assert doc["absolute"] is False
         assert doc["l2"] == pytest.approx(l2_distance(test, lsat_curve), rel=1e-15)
+
+
+def reference_fit(values, target, weights, epsilon):
+    """The per-curve expressions the batch kernel must reproduce bit for bit."""
+    diff = values - target
+    l2 = math.sqrt(float((diff * diff * weights).sum()))
+    lam = float((target * weights).sum()) / float((values * weights).sum())
+    relative = False
+    if lam < 1.0:
+        scaled = lam * values - target
+        relative = math.sqrt(float((scaled * scaled * weights).sum())) < epsilon
+    return {
+        "l2": l2,
+        "lambda": lam,
+        "energy": float((np.maximum(target - values, 0.0) * weights).sum()),
+        "exceeding": bool(np.all(values > target)),
+        "absolute": l2 < epsilon,
+        "relative": relative,
+    }
+
+
+KERNEL_GRID = AbilityGrid()
+KERNEL_TARGET = tabulate_target(builtin_lsat_target(), KERNEL_GRID)
+
+
+class TestFitBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scales=st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=1, max_size=6),
+        noise=st.floats(min_value=0.0, max_value=2.0),
+        touch=st.integers(min_value=0, max_value=KERNEL_GRID.num_points - 1),
+        epsilon=st.sampled_from([0.05, 0.5, 1.225, 2.0, 8.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rows_equal_the_scalar_functions(self, scales, noise, touch, epsilon, seed):
+        target = KERNEL_TARGET.values
+        rng = np.random.default_rng(seed)
+        rows = [np.maximum(s * target + noise * rng.standard_normal(target.size), 0.0) for s in scales]
+        # Above the target everywhere except one node, where it touches it:
+        # zero energy, yet not exceeding.
+        touching = target + 0.5
+        touching[touch] = target[touch]
+        rows.append(touching)
+        curves = np.array(rows)
+        fit = fit_batch(curves, KERNEL_TARGET, epsilon)
+        assert set(fit) == set(FIT_FIELDS)
+        weights = trapezoid_weights(KERNEL_GRID)
+        for k, values in enumerate(rows):
+            expected = reference_fit(values, target, weights, epsilon)
+            assert {name: fit[name][k].item() for name in FIT_FIELDS} == expected
+            curve = Curve(KERNEL_GRID, values)
+            assert fit_report(curve, KERNEL_TARGET, epsilon).to_json_dict() == expected
+            assert l2_distance(curve, KERNEL_TARGET) == expected["l2"]
+            assert deficiency_energy(curve, KERNEL_TARGET) == expected["energy"]
+            assert is_exceeding(curve, KERNEL_TARGET) is expected["exceeding"]
+            assert is_absolute_meeting(curve, KERNEL_TARGET, epsilon) is expected["absolute"]
+            assert is_relative_meeting(curve, KERNEL_TARGET, epsilon) == (
+                expected["relative"], expected["lambda"]
+            )
+        assert fit["energy"][-1] == 0.0 and not fit["exceeding"][-1]
+
+    def test_computes_only_the_requested_fields(self):
+        curves = np.array([KERNEL_TARGET.values * 2.0])
+        assert set(fit_batch(curves, KERNEL_TARGET, fields=("exceeding",))) == {"exceeding"}
+        fit = fit_batch(curves, KERNEL_TARGET, 1.0, ("relative",))
+        assert set(fit) == {"relative"} and fit["relative"][0]
+
+    def test_zero_area_rows_never_meet_relatively(self):
+        curves = np.array([np.zeros(KERNEL_GRID.num_points), KERNEL_TARGET.values * 2.0])
+        with np.errstate(all="raise"):
+            fit = fit_batch(curves, KERNEL_TARGET, 1e9, ("lambda", "relative"))
+        assert fit["lambda"][0] == math.inf
+        assert fit["relative"].tolist() == [False, True]

@@ -6,17 +6,20 @@ import pytest
 from fixedform import (
     DEFAULT_EPSILON,
     MODES,
+    BankGenSpec,
     Curve,
     ParameterError,
     draw_random_test,
     enumerate_exact,
     estimate_mu,
     estimate_mu_relative,
+    generate_bank,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
 )
-from fixedform.sampling import _CHUNK, SWEEP_HEADER
+from fixedform import sampling
+from fixedform.sampling import _CHUNK, SWEEP_HEADER, _sample_batch
 
 
 class TestDrawRandomTest:
@@ -52,6 +55,87 @@ class TestDrawRandomTest:
                 counts[i] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - 1.0 / 3.0) < 0.05)
+
+
+def swap_loop_draw(m, n, rng):
+    """One partial Fisher-Yates draw, one swap at a time."""
+    ids = np.arange(m)
+    for j in range(n):
+        r = int(rng.integers(j, m))
+        ids[j], ids[r] = ids[r], ids[j]
+    return ids[:n]
+
+
+class TestSampleBatch:
+    def test_single_draws_match_the_swap_loop(self):
+        bank50 = generate_bank(BankGenSpec(m=50, seed=1))
+        for seed in range(200):
+            for n in (1, 7, 50):
+                expected = sorted(swap_loop_draw(50, n, np.random.default_rng(seed)))
+                form = draw_random_test(bank50, n, np.random.default_rng(seed))
+                assert list(form.item_ids) == expected
+
+    @pytest.mark.parametrize("m,n,size", [(12, 4, 1), (50, 50, 37), (300, 65, 500)])
+    def test_batch_rows_match_sequential_swap_loops(self, m, n, size):
+        # The batch consumes one integer per (step, draw), step by step, so
+        # draw d's swaps come from every size-th integer of the stream.
+        batch = _sample_batch(m, n, size, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        steps = [rng.integers(j, m, size=size) for j in range(n)]
+        for d in range(size):
+            ids = np.arange(m)
+            for j, r in enumerate(steps):
+                ids[j], ids[r[d]] = ids[r[d]], ids[j]
+            assert batch[d].tolist() == ids[:n].tolist()
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records its size, runs jobs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_counts_below_one_are_refused_before_any_pool(
+        self, bank12, scaled_curve_12, pool_sizes, workers
+    ):
+        with pytest.raises(ParameterError, match="worker count"):
+            estimate_mu(bank12, 4, 3 * _CHUNK, "exceeding", scaled_curve_12, workers=workers)
+        with pytest.raises(ParameterError, match="worker count"):
+            estimate_mu_relative(bank12, 4, 3 * _CHUNK, scaled_curve_12, 1.0, workers=workers)
+        with pytest.raises(ParameterError, match="worker count"):
+            sweep(bank12, [4], scaled_curve_12, 1.0, 0, 3 * _CHUNK, 3 * _CHUNK, workers=workers)
+        assert pool_sizes == []
+
+    def test_pool_is_capped_at_the_chunk_count(self, bank12, scaled_curve_12, pool_sizes):
+        serial = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12, seed=4)
+        assert pool_sizes == []
+        capped = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12,
+                             seed=4, workers=64)
+        estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12, seed=4, workers=2)
+        estimate_mu(bank12, 4, 100, "exceeding", scaled_curve_12, seed=4, workers=64)
+        assert pool_sizes == [3, 2]
+        assert capped == serial
 
 
 class TestEstimateValidation:
