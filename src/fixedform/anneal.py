@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .irt import AbilityGrid, Curve, ItemBank, TestForm, information_matrix, test_information
+from .errors import ParameterError, UnknownItemError
+from .irt import Curve, ItemBank, TestForm, information_matrix, test_information
 from .metrics import deficiency_energy, is_exceeding, trapezoid_weights
 
 __all__ = [
@@ -91,14 +91,24 @@ def propose_swap(
     test: TestForm, bank: ItemBank, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Pick (item to drop, item to add) uniformly from the test and its complement."""
-    n = len(test.item_ids)
-    if n >= bank.m:
+    ids = np.asarray(test.item_ids, dtype=np.intp)
+    bad = [int(i) for i in ids if i >= bank.m]
+    if bad:
+        raise UnknownItemError(f"item ids {bad} not in bank of {bank.m} items")
+    member = np.zeros(bank.m, dtype=bool)
+    member[ids] = True
+    return _swap(ids, member, rng)
+
+
+def _swap(ids: np.ndarray, member: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    # ids are the sorted members of the bank mask; the item to add is drawn
+    # over the whole bank and redrawn until it is not a member.
+    if len(ids) >= len(member):
         raise ParameterError("test already uses every item; nothing to swap in")
-    out_id = int(test.item_ids[int(rng.integers(n))])
-    in_test = frozenset(test.item_ids)
+    out_id = int(ids[rng.integers(len(ids))])
     while True:
-        in_id = int(rng.integers(bank.m))
-        if in_id not in in_test:
+        in_id = int(rng.integers(len(member)))
+        if not member[in_id]:
             return out_id, in_id
 
 
@@ -138,80 +148,53 @@ def anneal(
     if config.greedy_init:
         ids = _greedy_start(info, weights, n)
     else:
-        perm = rng.permutation(bank.m)
-        ids = np.sort(perm[:n])
-    members = set(int(i) for i in ids)
+        ids = np.sort(rng.permutation(bank.m)[:n])
+    member = np.zeros(bank.m, dtype=bool)
+    member[ids] = True
 
     def energy_of(values: np.ndarray) -> float:
         return float((np.maximum(target - values, 0.0) * weights).sum())
 
-    def confirmed(member_ids: set[int]) -> tuple[bool, TestForm, Curve]:
-        test = TestForm.from_ids(sorted(member_ids))
-        curve = test_information(bank, test, grid)
-        return is_exceeding(curve, target_curve), test, curve
+    def resync() -> tuple[np.ndarray, float, bool]:
+        # A fresh sum in id order, bitwise the curve test_information gives;
+        # it clears the incremental drift and confirms a zero energy.
+        values = info[ids].sum(axis=0)
+        energy = energy_of(values)
+        return values, energy, energy == 0.0 and is_exceeding(Curve(grid, values), target_curve)
 
-    values = info[np.fromiter(members, dtype=int)].sum(axis=0)
-    energy = energy_of(values)
+    values, energy, succeeded = resync()
     temperature = config.t0
     trace: list[tuple[int, float, float]] = [(0, energy, temperature)]
     proposals = 0
     accepted = 0
 
-    if energy == 0.0:
-        ok, test, curve = confirmed(members)
-        if ok:
-            return AnnealResult(
-                test=test, energy=deficiency_energy(curve, target_curve),
-                succeeded=True, proposals=0, accepted=0,
-                final_t=temperature, energy_trace=tuple(trace),
-            )
-
-    while proposals < config.max_proposals:
+    while not succeeded and proposals < config.max_proposals:
         proposals += 1
-        test_view = TestForm.from_ids(sorted(members))
-        out_id, in_id = propose_swap(test_view, bank, rng)
+        out_id, in_id = _swap(ids, member, rng)
         new_values = values - info[out_id] + info[in_id]
         new_energy = energy_of(new_values)
         if new_energy <= energy or rng.random() < acceptance_probability(
             energy, new_energy, temperature
         ):
-            members.discard(out_id)
-            members.add(in_id)
+            member[out_id] = False
+            member[in_id] = True
+            ids = np.flatnonzero(member)
             values = new_values
             energy = new_energy
             accepted += 1
             trace.append((proposals, energy, temperature))
             if energy == 0.0:
-                ok, test, curve = confirmed(members)
-                if ok:
-                    return AnnealResult(
-                        test=test, energy=deficiency_energy(curve, target_curve),
-                        succeeded=True, proposals=proposals, accepted=accepted,
-                        final_t=temperature, energy_trace=tuple(trace),
-                    )
-                # Incremental drift produced a false zero; resync and go on.
-                values = info[np.fromiter(members, dtype=int)].sum(axis=0)
-                energy = energy_of(values)
-        if proposals % config.iters_per_temp == 0:
+                values, energy, succeeded = resync()
+        if not succeeded and proposals % config.iters_per_temp == 0:
             temperature *= config.alpha
-            # Resync the incrementally updated curve at each cooling step.
-            values = info[np.fromiter(members, dtype=int)].sum(axis=0)
-            energy = energy_of(values)
-            if energy == 0.0:
-                ok, test, curve = confirmed(members)
-                if ok:
-                    return AnnealResult(
-                        test=test, energy=deficiency_energy(curve, target_curve),
-                        succeeded=True, proposals=proposals, accepted=accepted,
-                        final_t=temperature, energy_trace=tuple(trace),
-                    )
+            values, energy, succeeded = resync()
 
-    test = TestForm.from_ids(sorted(members))
+    test = TestForm(tuple(ids))
     curve = test_information(bank, test, grid)
     return AnnealResult(
         test=test,
         energy=deficiency_energy(curve, target_curve),
-        succeeded=False,
+        succeeded=succeeded,
         proposals=proposals,
         accepted=accepted,
         final_t=temperature,

@@ -161,20 +161,19 @@ def estimate_mu(
     seed: int = 0,
     workers: int = 1,
 ) -> EstimateResult:
-    """Estimate the fraction of n-item forms that exceed or absolutely meet the target.
+    """Estimate the fraction of n-item forms in one adequacy class.
 
     ``mode`` is ``"exceeding"`` (strictly above the target at every node;
-    epsilon unused) or ``"absolute"`` (L2 distance below ``epsilon``, which
-    is then required). Relative meeting has its own estimator because it
-    also scales each drawn form; see :func:`estimate_mu_relative`.
+    epsilon unused), ``"absolute"`` (L2 distance below ``epsilon``) or
+    ``"relative"`` (the form scaled by lambda = target area / form area has
+    lambda < 1 and fits the target within ``epsilon``); the meeting modes
+    require ``epsilon``.
     """
     _validate_common(bank, n, draws, seed, workers)
     if mode == "exceeding":
         epsilon = None
-    elif mode == "absolute":
+    elif mode in MODES:
         check_epsilon(epsilon)
-    elif mode == "relative":
-        raise ParameterError("use estimate_mu_relative for relative meeting")
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
     return _estimate(bank, n, draws, seed, workers, mode, target_curve, epsilon)
@@ -189,15 +188,8 @@ def estimate_mu_relative(
     seed: int = 0,
     workers: int = 1,
 ) -> EstimateResult:
-    """Estimate the fraction of n-item forms that relatively meet the target.
-
-    Each drawn form is scaled by lambda = target area / form area and
-    counts as a hit iff lambda < 1 and the scaled curve fits the target
-    within ``epsilon``.
-    """
-    _validate_common(bank, n, draws, seed, workers)
-    check_epsilon(epsilon)
-    return _estimate(bank, n, draws, seed, workers, "relative", target_curve, epsilon)
+    """``estimate_mu`` in ``"relative"`` mode."""
+    return estimate_mu(bank, n, draws, "relative", target_curve, epsilon, seed, workers)
 
 
 def _subseed(master_seed: int, n: int, mode: str) -> int:
@@ -235,23 +227,14 @@ def sweep(
 
     rows = []
     for n in n_values:
-        absolute = relative = exceeding = None
-        if "absolute" in modes:
-            absolute = estimate_mu(
-                bank, n, draws_meeting, "absolute", target_curve,
-                epsilon=epsilon, seed=_subseed(seed, n, "absolute"), workers=workers,
+        estimates = {
+            mode: estimate_mu(
+                bank, n, draws_exceeding if mode == "exceeding" else draws_meeting, mode,
+                target_curve, epsilon=epsilon, seed=_subseed(seed, n, mode), workers=workers,
             )
-        if "relative" in modes:
-            relative = estimate_mu_relative(
-                bank, n, draws_meeting, target_curve, epsilon,
-                seed=_subseed(seed, n, "relative"), workers=workers,
-            )
-        if "exceeding" in modes:
-            exceeding = estimate_mu(
-                bank, n, draws_exceeding, "exceeding", target_curve,
-                seed=_subseed(seed, n, "exceeding"), workers=workers,
-            )
-        rows.append(SweepRow(n=n, seed=seed, absolute=absolute, relative=relative, exceeding=exceeding))
+            for mode in modes
+        }
+        rows.append(SweepRow(n=n, seed=seed, **estimates))
     return rows
 
 
@@ -285,14 +268,15 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 def read_sweep_csv(path) -> list[dict]:
     """Read a sweep CSV back; empty cells become None.
 
-    A row with the wrong cell count or a bad cell raises FileFormatError.
+    A missing or wrong header, a row with the wrong cell count or a bad
+    cell raises FileFormatError.
     """
     out: list[dict] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SWEEP_HEADER:
-            raise ParameterError(f"not a sweep CSV: header is {header}")
+            raise FileFormatError(f"{path}: not a sweep CSV: header is {header}")
         for row in reader:
             if not row:
                 continue

@@ -8,6 +8,7 @@ from fixedform import (
     Curve,
     ParameterError,
     TestForm,
+    UnknownItemError,
     acceptance_probability,
     anneal,
     deficiency_energy,
@@ -83,6 +84,23 @@ class TestProposeSwap:
         with pytest.raises(ParameterError, match="every item"):
             propose_swap(test, bank12, np.random.default_rng(0))
 
+    def test_ids_outside_the_bank_are_rejected(self, bank12):
+        with pytest.raises(UnknownItemError, match=r"\[12, 40\]"):
+            propose_swap(TestForm((3, 12, 40)), bank12, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anneal_draws_the_same_pair_from_the_same_state(self, bank12, grid, seed):
+        # Replay anneal's start: its generator first permutes the bank, then
+        # proposes one swap. A huge temperature accepts the move, so the
+        # annealed test shows which pair anneal drew.
+        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+        start = np.sort(rng.permutation(bank12.m)[:4])
+        out_id, in_id = propose_swap(TestForm(tuple(start)), bank12, rng)
+        unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
+        result = anneal(bank12, 4, unreachable, AnnealConfig(seed=seed, t0=1e12, max_proposals=1))
+        assert result.accepted == 1
+        assert result.test.item_ids == tuple(sorted(set(start.tolist()) - {out_id} | {in_id}))
+
 
 class TestAnneal:
     def anneal_12(self, bank12, scaled_curve_12, **kwargs):
@@ -149,3 +167,54 @@ class TestAnneal:
         }
         assert doc["items"] == list(result.test.item_ids)
         assert doc["succeeded"] is True
+
+    def test_a_start_that_already_clears_the_target_needs_no_proposal(self, bank12, grid):
+        # Item information is positive at every node, so every form clears a
+        # zero target.
+        result = anneal(bank12, 3, Curve(grid, np.zeros(grid.num_points)), AnnealConfig(seed=2))
+        assert result.succeeded
+        assert (result.proposals, result.accepted, result.energy) == (0, 0, 0.0)
+        assert len(result.energy_trace) == 1
+
+
+# (n, seed) -> (items, proposals, accepted, final_T, energy), recorded from the
+# set-based annealer this one replaced; any change in how a run consumes its
+# generator shows up here.
+GOLDEN_12 = {
+    (4, 1): ((3, 5, 9, 11), 10, 5, 0.05, 0.0),
+    (4, 6): ((2, 3, 5, 11), 41, 9, 0.05, 0.0),
+    (6, 7): ((1, 4, 5, 8, 10, 11), 4, 3, 0.05, 0.0),
+}
+GOLDEN_300_N40 = {
+    1: ((1, 5, 8, 12, 15, 24, 49, 51, 54, 61, 77, 81, 82, 89, 104, 108, 114, 118, 134, 136,
+         144, 149, 161, 169, 173, 174, 177, 207, 213, 218, 220, 226, 231, 234, 243, 266, 275,
+         290, 291, 294), 5816, 440, 0.02952450000000001, 0.0),
+    2: ((5, 8, 9, 12, 18, 20, 24, 28, 44, 49, 51, 68, 75, 81, 86, 95, 99, 102, 104, 108, 116,
+         120, 130, 133, 134, 136, 152, 154, 173, 185, 197, 199, 213, 232, 243, 247, 259, 260,
+         277, 281), 4244, 349, 0.03280500000000001, 0.0),
+}
+
+
+def _summary(result):
+    return (result.test.item_ids, result.proposals, result.accepted, result.final_t, result.energy)
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_12))
+    def test_bank12(self, bank12, scaled_curve_12, key):
+        n, seed = key
+        result = anneal(bank12, n, scaled_curve_12, AnnealConfig(seed=seed, max_proposals=20_000))
+        assert _summary(result) == GOLDEN_12[key]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_300_N40))
+    def test_bank300_n40(self, bank300, lsat_curve, seed):
+        result = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=seed))
+        assert _summary(result) == GOLDEN_300_N40[seed]
+
+    def test_budget_exhausted(self, bank12, grid):
+        unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
+        config = AnnealConfig(seed=1, max_proposals=300, iters_per_temp=50)
+        result = anneal(bank12, 2, unreachable, config)
+        assert _summary(result) == ((4, 11), 300, 8, 0.02657205000000001, 5996.911660634405)
+        assert not result.succeeded
+        assert [entry[0] for entry in result.energy_trace] == [0, 1, 79, 83, 85, 117, 119, 150, 157]

@@ -337,6 +337,17 @@ class TestCountsCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", ""], ids=["wrong-header", "empty-file"])
+    def test_a_file_that_is_not_a_sweep_csv_is_an_io_error(self, tmp_path, capsys, text):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(text)
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12",
+                     "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("fixedform: error:") and "not a sweep CSV" in err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("mu", ["2.0", "nan", "inf", "-0.5"])
     def test_ratios_outside_the_unit_interval_are_usage_errors(self, tmp_path, capsys, mu):
         # At m = 30, n = 6 a ratio of 2 would claim more forms than C(30, 6).

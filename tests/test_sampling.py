@@ -19,6 +19,7 @@ from fixedform import (
     write_sweep_csv,
 )
 from fixedform import sampling
+from fixedform.errors import FileFormatError
 from fixedform.sampling import _CHUNK, SWEEP_HEADER, _sample_batch
 
 
@@ -139,9 +140,14 @@ class TestWorkers:
 
 
 class TestEstimateValidation:
-    def test_relative_mode_is_its_own_estimator(self, bank12, scaled_curve_12):
-        with pytest.raises(ParameterError, match="estimate_mu_relative"):
-            estimate_mu(bank12, 4, 100, "relative", scaled_curve_12, epsilon=1.0)
+    def test_relative_mode_matches_the_relative_wrapper(self, bank12, scaled_curve_12):
+        via_mode = estimate_mu(bank12, 4, 3000, "relative", scaled_curve_12, epsilon=1.0, seed=5)
+        assert via_mode == estimate_mu_relative(bank12, 4, 3000, scaled_curve_12, 1.0, seed=5)
+        assert via_mode.mode == "relative" and via_mode.hits > 0
+
+    def test_relative_mode_requires_epsilon(self, bank12, scaled_curve_12):
+        with pytest.raises(ParameterError, match="epsilon"):
+            estimate_mu(bank12, 4, 100, "relative", scaled_curve_12)
 
     def test_unknown_mode(self, bank12, scaled_curve_12):
         with pytest.raises(ParameterError, match="unknown mode"):
@@ -343,5 +349,5 @@ class TestSweepCSV:
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "not_sweep.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ParameterError, match="not a sweep CSV"):
+        with pytest.raises(FileFormatError, match="not a sweep CSV"):
             read_sweep_csv(path)
