@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Commands: gen-bank, sweep, assemble, counts, enumerate. Every command
-writes its primary output plus a run manifest at ``<out>.manifest.json``
-recording the resolved parameters; rerunning a command with
+Commands: gen-bank, sweep, assemble, counts, enumerate. A command
+validates its inputs, computes, writes its primary output and returns
+``(exit code, detail)``. ``main`` then records the run manifest at
+``<out>.manifest.json`` (the resolved parameters plus fingerprints of the
+input files) and reports the run; rerunning a command with
 ``--config <manifest>`` reproduces the primary output byte for byte.
 
 Exit codes: 0 success, 1 usage or domain error, 2 I/O or parse error,
-3 assembly stopped by the proposal budget.
+3 assembly stopped by the proposal budget. ``main`` maps every error to
+one of them.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .anneal import AnnealConfig, anneal
 from .bank import BankGenSpec, generate_bank, load_bank, save_bank
 from .counts import binom_total, enumerate_exact, extrapolate_counts
 from .errors import FileFormatError, FixedFormError, ParameterError
-from .irt import AbilityGrid, ItemBank, Curve, test_information
-from .metrics import DEFAULT_EPSILON, fit_report
+from .irt import AbilityGrid, Curve, test_information
+from .metrics import DEFAULT_EPSILON, check_epsilon, fit_report
 from .sampling import MODES, read_sweep_csv, sweep, write_sweep_csv
 from .target import parse_target, tabulate_target
 
@@ -51,52 +54,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub, dests: set[str], *, bank: bool, seed: bool, target: bool, out_default: str) -> None:
-    def add(*names, **kw) -> None:
-        dests.add(sub.add_argument(*names, **kw).dest)
-
-    if bank:
-        add("--bank", help="item bank CSV")
-    if seed:
-        add("--seed", type=int, default=None, help="master seed; generated and printed if omitted")
-    if target:
-        add("--target", default="lsat",
-            help="'lsat' or comma-separated polynomial coefficients, highest degree first")
-        add("--grid-points", type=int, default=121, help="ability grid resolution on [-3, 3]")
-        add("--epsilon", type=float, default=DEFAULT_EPSILON, help="fit tolerance")
-    add("-o", "--out", default=out_default, help=f"output path (default {out_default})")
-    add("--config", default=None, help="JSON file (or run manifest) supplying defaults; flags win")
-    dests.discard("config")
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, set[str]]]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="fixedform", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fixedform {__version__}")
     subs = parser.add_subparsers(dest="command")
-    commands: dict[str, tuple[argparse.ArgumentParser, set[str]]] = {}
 
-    def new_command(name: str, help_text: str, handler) -> tuple[argparse.ArgumentParser, set[str]]:
+    def new_command(name: str, help_text: str, handler, flags, *,
+                    bank: bool, seed: bool, target: bool, out_default: str) -> None:
         sub = subs.add_parser(name, help=help_text, description=help_text)
         sub.set_defaults(func=handler)
-        dests: set[str] = set()
-        commands[name] = (sub, dests)
-        return sub, dests
+        if bank:
+            sub.add_argument("--bank", help="item bank CSV")
+        if seed:
+            sub.add_argument("--seed", type=int, default=None, help="master seed; generated and printed if omitted")
+        if target:
+            sub.add_argument("--target", default="lsat",
+                             help="'lsat' or comma-separated polynomial coefficients, highest degree first")
+            sub.add_argument("--grid-points", type=int, default=121, help="ability grid resolution on [-3, 3]")
+            sub.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="fit tolerance")
+        sub.add_argument("-o", "--out", default=out_default, help=f"output path (default {out_default})")
+        sub.add_argument("--config", default=None, help="JSON file (or run manifest) supplying defaults; flags win")
+        for names, kw in flags:
+            sub.add_argument(*names, **kw)
 
-    sub, dests = new_command("gen-bank", "generate a synthetic item bank CSV", _cmd_gen_bank)
-    _add_common(sub, dests, bank=False, seed=True, target=False, out_default="bank.csv")
-    for names, kw in (
+    new_command("gen-bank", "generate a synthetic item bank CSV", _cmd_gen_bank, (
         (("--m",), dict(type=int, default=300, help="number of items")),
         (("--a-min",), dict(type=float, default=1.0, help="discrimination lower bound")),
         (("--a-max",), dict(type=float, default=3.0, help="discrimination upper bound")),
         (("--b-min",), dict(type=float, default=-3.0, help="difficulty lower bound")),
         (("--b-max",), dict(type=float, default=3.0, help="difficulty upper bound")),
         (("--c",), dict(type=float, default=0.2, help="shared guessing parameter")),
-    ):
-        dests.add(sub.add_argument(*names, **kw).dest)
+    ), bank=False, seed=True, target=False, out_default="bank.csv")
 
-    sub, dests = new_command("sweep", "estimate hit ratios across a range of test lengths", _cmd_sweep)
-    _add_common(sub, dests, bank=True, seed=True, target=True, out_default="sweep.csv")
-    for names, kw in (
+    new_command("sweep", "estimate hit ratios across a range of test lengths", _cmd_sweep, (
         (("--modes",), dict(default="absolute,relative,exceeding",
                             help="comma-separated subset of absolute,relative,exceeding")),
         (("--K",), dict(type=int, default=100_000, help="draws per (length, mode)")),
@@ -106,12 +96,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.Ar
         (("--n-to",), dict(type=int, default=None, help="last test length (inclusive)")),
         (("--n-step",), dict(type=int, default=1, help="test length stride")),
         (("--workers",), dict(type=int, default=1, help="threads; results identical for any value")),
-    ):
-        dests.add(sub.add_argument(*names, **kw).dest)
+    ), bank=True, seed=True, target=True, out_default="sweep.csv")
 
-    sub, dests = new_command("assemble", "anneal a test whose information exceeds the target", _cmd_assemble)
-    _add_common(sub, dests, bank=True, seed=True, target=True, out_default="test.json")
-    for names, kw in (
+    new_command("assemble", "anneal a test whose information exceeds the target", _cmd_assemble, (
         (("--n",), dict(type=int, default=None, help="test length")),
         (("--T0",), dict(type=float, default=0.05, help="initial temperature")),
         (("--alpha",), dict(type=float, default=0.9, help="geometric cooling factor")),
@@ -119,26 +106,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.Ar
         (("--max-proposals",), dict(type=int, default=100_000, help="proposal budget")),
         (("--greedy-init",), dict(action="store_true", help="start from the top-area items")),
         (("--trace",), dict(default=None, help="also write the accepted-energy trace CSV here")),
-    ):
-        dests.add(sub.add_argument(*names, **kw).dest)
+    ), bank=True, seed=True, target=True, out_default="test.json")
 
-    sub, dests = new_command("counts", "turn a ratio sweep into log10 form counts", _cmd_counts)
-    _add_common(sub, dests, bank=False, seed=False, target=False, out_default="counts.csv")
-    for names, kw in (
+    new_command("counts", "turn a ratio sweep into log10 form counts", _cmd_counts, (
         (("--sweep",), dict(default=None, help="sweep CSV produced by the sweep command")),
         (("--m",), dict(type=int, default=None, help="bank size (or pass --bank)")),
         (("--bank",), dict(default=None, help="bank CSV; supplies m")),
         (("--anchor-n",), dict(type=int, default=None, help="length whose count anchors the curves")),
         (("--modes",), dict(default="absolute,relative,exceeding",
                             help="comma-separated subset of absolute,relative,exceeding")),
-    ):
-        dests.add(sub.add_argument(*names, **kw).dest)
+    ), bank=False, seed=False, target=False, out_default="counts.csv")
 
-    sub, dests = new_command("enumerate", "exactly classify every n-item form of a small bank", _cmd_enumerate)
-    _add_common(sub, dests, bank=True, seed=False, target=True, out_default="exact.json")
-    dests.add(sub.add_argument("--n", type=int, default=None, help="test length").dest)
+    new_command("enumerate", "exactly classify every n-item form of a small bank", _cmd_enumerate, (
+        (("--n",), dict(type=int, default=None, help="test length")),
+    ), bank=True, seed=False, target=True, out_default="exact.json")
 
-    return parser, commands
+    return parser, subs.choices
 
 
 def _require(value, flag: str):
@@ -166,13 +149,8 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _grid(args) -> AbilityGrid:
-    return AbilityGrid(num_points=args.grid_points)
-
-
-def _target_curve(args, grid: AbilityGrid) -> tuple[tuple[float, ...], Curve]:
-    spec = parse_target(args.target)
-    return tuple(reversed(spec.coefficients)), tabulate_target(spec, grid)
+def _target_curve(args) -> Curve:
+    return tabulate_target(parse_target(args.target), AbilityGrid(num_points=args.grid_points))
 
 
 def _sha256(path) -> str:
@@ -183,20 +161,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, extra: dict | None = None) -> None:
-    doc = {
-        "command": args.command,
-        "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "config")
-        },
-    }
-    if extra:
-        doc.update(extra)
-    doc["tool_version"] = __version__
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _parameters(args) -> dict:
+    """A command's parameters: what its manifest records and what ``--config`` may set."""
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "config")}
 
 
 def _write_json(path, doc: dict) -> None:
@@ -205,12 +172,22 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _load_bank_checked(path) -> ItemBank:
-    _require(path, "--bank")
-    return load_bank(path)
+def _write_manifest(args) -> None:
+    params = _parameters(args)
+    doc = {"command": args.command, "parameters": params}
+    bank = args.out if args.command == "gen-bank" else params.get("bank")
+    if bank is not None:
+        doc["bank_sha256"] = _sha256(bank)
+    if params.get("sweep") is not None:
+        doc["sweep_sha256"] = _sha256(params["sweep"])
+    if "target" in params:
+        doc["target_coefficients_descending"] = list(reversed(parse_target(params["target"]).coefficients))
+    doc["tool_version"] = __version__
+    doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    _write_json(f"{args.out}.manifest.json", doc)
 
 
-def _cmd_gen_bank(args) -> int:
+def _cmd_gen_bank(args) -> tuple[int, str]:
     _resolve_seed(args)
     spec = BankGenSpec(
         m=args.m,
@@ -220,12 +197,10 @@ def _cmd_gen_bank(args) -> int:
         seed=args.seed,
     )
     save_bank(generate_bank(spec), args.out)
-    _write_manifest(args, {"bank_sha256": _sha256(args.out)})
-    print(f"wrote {args.out} ({args.m} items)")
-    return EXIT_OK
+    return EXIT_OK, f"{args.m} items"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     _resolve_seed(args)
     _require(args.n_from, "--n-from")
     _require(args.n_to, "--n-to")
@@ -235,9 +210,8 @@ def _cmd_sweep(args) -> int:
         raise ParameterError(
             f"need 1 <= --n-from <= --n-to, got {args.n_from}..{args.n_to}"
         )
-    bank = _load_bank_checked(args.bank)
-    grid = _grid(args)
-    coeffs, curve = _target_curve(args, grid)
+    bank = load_bank(_require(args.bank, "--bank"))
+    curve = _target_curve(args)
     modes = _parse_modes(args.modes)
     k_meeting = args.K if args.K_meeting is None else args.K_meeting
     k_exceeding = args.K if args.K_exceeding is None else args.K_exceeding
@@ -254,20 +228,15 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
     )
     write_sweep_csv(rows, args.out)
-    _write_manifest(
-        args,
-        {"bank_sha256": _sha256(args.bank), "target_coefficients_descending": list(coeffs)},
-    )
-    print(f"wrote {args.out} ({len(rows)} lengths, modes {','.join(modes)})")
-    return EXIT_OK
+    return EXIT_OK, f"{len(rows)} lengths, modes {','.join(modes)}"
 
 
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args) -> tuple[int, str]:
     _resolve_seed(args)
     _require(args.n, "--n")
-    bank = _load_bank_checked(args.bank)
-    grid = _grid(args)
-    coeffs, curve = _target_curve(args, grid)
+    check_epsilon(args.epsilon)
+    bank = load_bank(_require(args.bank, "--bank"))
+    curve = _target_curve(args)
     config = AnnealConfig(
         t0=args.T0,
         alpha=args.alpha,
@@ -277,32 +246,24 @@ def _cmd_assemble(args) -> int:
         greedy_init=args.greedy_init,
     )
     result = anneal(bank, args.n, curve, config)
-    final_curve = test_information(bank, result.test, grid)
+    final_curve = test_information(bank, result.test, curve.grid)
     doc = result.to_json_dict()
     doc["fit"] = fit_report(final_curve, curve, args.epsilon).to_json_dict()
-    _write_json(args.out, doc)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["proposal", "energy", "temperature"])
             for proposal, energy, temperature in result.energy_trace:
                 writer.writerow([proposal, repr(energy), repr(temperature)])
-    _write_manifest(
-        args,
-        {"bank_sha256": _sha256(args.bank), "target_coefficients_descending": list(coeffs)},
-    )
+    _write_json(args.out, doc)
     if result.succeeded:
-        print(f"wrote {args.out} (exceeding test found after {result.proposals} proposals)")
-        return EXIT_OK
-    print(
-        f"wrote {args.out} (budget of {args.max_proposals} proposals exhausted, "
-        f"residual energy {result.energy:.6g})",
-        file=sys.stderr,
+        return EXIT_OK, f"exceeding test found after {result.proposals} proposals"
+    return EXIT_BUDGET, (
+        f"budget of {args.max_proposals} proposals exhausted, residual energy {result.energy:.6g}"
     )
-    return EXIT_BUDGET
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args) -> tuple[int, str]:
     _require(args.sweep, "--sweep")
     _require(args.anchor_n, "--anchor-n")
     if args.m is None and args.bank is None:
@@ -359,17 +320,13 @@ def _cmd_counts(args) -> int:
                     notes.append(f"{_COUNT_COLUMNS[mode]}:no-estimate")
             row.append(";".join(notes))
             writer.writerow(row)
-    _write_manifest(args, {"sweep_sha256": _sha256(args.sweep)})
-    print(f"wrote {args.out} ({len(n_values)} lengths, anchor n={args.anchor_n})")
-    return EXIT_OK
+    return EXIT_OK, f"{len(n_values)} lengths, anchor n={args.anchor_n}"
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, str]:
     _require(args.n, "--n")
-    bank = _load_bank_checked(args.bank)
-    grid = _grid(args)
-    coeffs, curve = _target_curve(args, grid)
-    counts = enumerate_exact(bank, args.n, curve, args.epsilon)
+    bank = load_bank(_require(args.bank, "--bank"))
+    counts = enumerate_exact(bank, args.n, _target_curve(args), args.epsilon)
     doc = {
         "m": bank.m,
         "n": args.n,
@@ -380,17 +337,22 @@ def _cmd_enumerate(args) -> int:
         "N_E": counts.exceeding,
     }
     _write_json(args.out, doc)
-    _write_manifest(
-        args,
-        {"bank_sha256": _sha256(args.bank), "target_coefficients_descending": list(coeffs)},
-    )
-    print(f"wrote {args.out} (N={counts.total})")
-    return EXIT_OK
+    return EXIT_OK, f"N={counts.total}"
 
 
-def _load_config(path, command: str, dests: set[str]) -> dict:
+def _load_config(path, command: str, defaults: dict) -> dict:
+    """Read a config or manifest into parser defaults for ``command``.
+
+    ``defaults`` maps each parameter the command accepts to its parser
+    default. A null leaves the flag at its default, a bool may only set a
+    bool flag, and any other scalar goes to the parser as text so that the
+    flag's own type checks it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"invalid JSON: {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
     if "parameters" in doc and isinstance(doc["parameters"], dict):
@@ -400,12 +362,19 @@ def _load_config(path, command: str, dests: set[str]) -> dict:
                 f"config {path} records command {recorded!r}, not {command!r}"
             )
         doc = doc["parameters"]
-    unknown = sorted(set(doc) - dests)
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise _UsageError(
             f"config {path} has keys unknown to {command}: {', '.join(unknown)}"
         )
-    return doc
+    values = {}
+    for key, value in doc.items():
+        if value is None:
+            continue
+        if isinstance(value, (list, dict)) or isinstance(value, bool) != isinstance(defaults[key], bool):
+            raise _UsageError(f"config {path}: {key} cannot be {json.dumps(value)}")
+        values[key] = value if isinstance(value, bool) else str(value)
+    return values
 
 
 def main(argv=None) -> int:
@@ -417,25 +386,20 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             raise _UsageError("a command is required")
         if args.config is not None:
-            sub, dests = commands[args.command]
-            sub.set_defaults(**_load_config(args.config, args.command, dests))
+            sub = commands[args.command]
+            defaults = {key: sub.get_default(key) for key in _parameters(args)}
+            sub.set_defaults(**_load_config(args.config, args.command, defaults))
             args = parser.parse_args(arg_list)
-        return args.func(args)
-    except _UsageError as exc:
+        code, detail = args.func(args)
+        _write_manifest(args)
+    except (FileFormatError, OSError, UnicodeDecodeError) as exc:
+        print(f"fixedform: error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (_UsageError, FixedFormError) as exc:
         print(f"fixedform: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileFormatError as exc:
-        print(f"fixedform: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"fixedform: error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FixedFormError as exc:
-        print(f"fixedform: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"fixedform: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    print(f"wrote {args.out} ({detail})", file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

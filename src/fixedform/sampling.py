@@ -100,16 +100,37 @@ def _sample_batch(m: int, n: int, size: int, rng: np.random.Generator) -> np.nda
     return ids[:n].T
 
 
-def _estimate(
+def estimate_mu(
     bank: ItemBank,
     n: int,
     draws: int,
-    seed: int,
-    workers: int,
     mode: str,
     target_curve: Curve,
-    epsilon: float | None,
+    epsilon: float | None = None,
+    seed: int = 0,
+    workers: int = 1,
 ) -> EstimateResult:
+    """Estimate the fraction of n-item forms in one adequacy class.
+
+    ``mode`` is ``"exceeding"`` (strictly above the target at every node;
+    epsilon unused), ``"absolute"`` (L2 distance below ``epsilon``) or
+    ``"relative"`` (the form scaled by lambda = target area / form area has
+    lambda < 1 and fits the target within ``epsilon``); the meeting modes
+    require ``epsilon``.
+    """
+    _check_length(n, bank.m)
+    if draws < 1:
+        raise ParameterError(f"draw count must be >= 1, got {draws}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
+    if mode == "exceeding":
+        epsilon = None
+    elif mode in MODES:
+        check_epsilon(epsilon)
+    else:
+        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
     info = information_matrix(bank, target_curve.grid)
 
     def chunk_hits(start: int) -> int:
@@ -139,44 +160,6 @@ def _estimate(
         epsilon=epsilon,
         seed=seed,
     )
-
-
-def _validate_common(bank: ItemBank, n: int, draws: int, seed: int, workers: int) -> None:
-    _check_length(n, bank.m)
-    if draws < 1:
-        raise ParameterError(f"draw count must be >= 1, got {draws}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
-    if workers < 1:
-        raise ParameterError(f"worker count must be >= 1, got {workers}")
-
-
-def estimate_mu(
-    bank: ItemBank,
-    n: int,
-    draws: int,
-    mode: str,
-    target_curve: Curve,
-    epsilon: float | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> EstimateResult:
-    """Estimate the fraction of n-item forms in one adequacy class.
-
-    ``mode`` is ``"exceeding"`` (strictly above the target at every node;
-    epsilon unused), ``"absolute"`` (L2 distance below ``epsilon``) or
-    ``"relative"`` (the form scaled by lambda = target area / form area has
-    lambda < 1 and fits the target within ``epsilon``); the meeting modes
-    require ``epsilon``.
-    """
-    _validate_common(bank, n, draws, seed, workers)
-    if mode == "exceeding":
-        epsilon = None
-    elif mode in MODES:
-        check_epsilon(epsilon)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return _estimate(bank, n, draws, seed, workers, mode, target_curve, epsilon)
 
 
 def estimate_mu_relative(
@@ -268,10 +251,11 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 def read_sweep_csv(path) -> list[dict]:
     """Read a sweep CSV back; empty cells become None.
 
-    A missing or wrong header, a row with the wrong cell count or a bad
-    cell raises FileFormatError.
+    A missing or wrong header, a row with the wrong cell count, a bad cell
+    or a repeated length raises FileFormatError.
     """
     out: list[dict] = []
+    lines: dict[int, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -291,7 +275,10 @@ def read_sweep_csv(path) -> list[dict]:
                         record[key] = int(cell)
                     else:
                         record[key] = float(cell)
+                if record["n"] in lines:
+                    raise ValueError(f"length n={record['n']} repeats line {lines[record['n']]}")
             except ValueError as exc:
                 raise FileFormatError(f"{path}, line {reader.line_num}: {exc}") from None
+            lines[record["n"]] = reader.line_num
             out.append(record)
     return out

@@ -1,7 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixedform import (
     DEFAULT_EPSILON,
@@ -425,3 +431,370 @@ class TestMainDispatch:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "fixedform" in capsys.readouterr().out
+
+
+class TestConfigValueTypes:
+    BASE = {"n_from": 3, "n_to": 4, "K": 100, "seed": 1}
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"K": 3.7},
+            {"K": [1, 2]},
+            {"K": {"draws": 2}},
+            {"n_from": 3.5},
+            {"workers": 2.5},
+            {"K": True},
+            {"target": False},
+            {"seed": "nine"},
+        ],
+        ids=["float-for-int", "array", "object", "float-n-from", "float-workers",
+             "bool-for-int", "bool-for-str", "text-for-int"],
+    )
+    def test_wrong_json_types_are_usage_errors(self, tmp_path, bank12_csv, capsys, over):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.BASE, **over}))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--bank", str(bank12_csv), "--config", str(config), "-o", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("fixedform: error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1, "yes"])
+    def test_greedy_init_takes_only_a_bool(self, tmp_path, bank12_csv, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 4, "greedy_init": value}))
+        code = main(["assemble", "--bank", str(bank12_csv), "--seed", "1",
+                     "--config", str(config), "-o", str(tmp_path / "t.json")])
+        assert code == EXIT_USAGE
+        assert "greedy_init" in capsys.readouterr().err
+
+    def test_scalars_are_checked_by_the_flag_type(self, tmp_path, bank12_csv, scaled_target_arg):
+        # Text for a number and an int for a float flag parse as on the command line.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_from": "3", "n_to": 4, "K": "400", "epsilon": 1,
+                                      "K_meeting": None, "seed": 9}))
+        via_config = tmp_path / "config.csv"
+        code = main(["sweep", "--bank", str(bank12_csv), "--target", scaled_target_arg,
+                     "--config", str(config), "-o", str(via_config)])
+        assert code == EXIT_OK
+        direct = tmp_path / "direct.csv"
+        main(["sweep", "--bank", str(bank12_csv), "--target", scaled_target_arg, "--seed", "9",
+              "--n-from", "3", "--n-to", "4", "--K", "400", "--epsilon", "1.0", "-o", str(direct)])
+        assert via_config.read_bytes() == direct.read_bytes()
+        params = read_manifest(via_config)["parameters"]
+        assert (params["n_from"], params["K"], params["epsilon"]) == (3, 400, 1.0)
+
+    def test_null_for_a_flag_with_a_default_keeps_the_default(self, tmp_path, bank12_csv,
+                                                                scaled_target_arg):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_from": 3, "n_to": 3, "K": 50, "n_step": None,
+                                      "workers": None, "modes": None}))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--bank", str(bank12_csv), "--target", scaled_target_arg,
+                     "--seed", "2", "--config", str(config), "-o", str(out)])
+        assert code == EXIT_OK
+        params = read_manifest(out)["parameters"]
+        assert (params["n_step"], params["workers"]) == (1, 1)
+        assert params["modes"] == "absolute,relative,exceeding"
+
+
+class TestMalformedInputFiles:
+    def check_io_error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("fixedform: error:") and "Traceback" not in err
+        return err
+
+    def test_non_utf8_bank(self, tmp_path, capsys):
+        bank = tmp_path / "bank.csv"
+        bank.write_bytes(b"id,a,b,c\n0,1.0,0.0,0.2\xff\n")
+        self.check_io_error(capsys, ["enumerate", "--bank", str(bank), "--n", "1",
+                                     "-o", str(tmp_path / "e.json")])
+        assert not (tmp_path / "e.json").exists()
+
+    def test_non_utf8_sweep(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_bytes(b"\xff" + ",".join(SWEEP_HEADER).encode() + b"\n")
+        self.check_io_error(capsys, ["counts", "--sweep", str(sweep_csv), "--m", "12",
+                                     "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_non_utf8_config(self, tmp_path, bank12_csv, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"n_from": 3, "n_to": "\xff"}')
+        self.check_io_error(capsys, ["sweep", "--bank", str(bank12_csv), "--config", str(config),
+                                     "-o", str(tmp_path / "s.csv")])
+
+    def test_repeated_sweep_length(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3, 3], m=12)
+        err = self.check_io_error(capsys, ["counts", "--sweep", str(sweep_csv), "--m", "12",
+                                           "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
+        assert "line 4" in err and "n=3 repeats line 3" in err
+        assert not (tmp_path / "c.csv").exists()
+
+
+class TestAssembleOutputs:
+    def test_bad_epsilon_fails_before_annealing(self, tmp_path, bank12_csv, capsys, monkeypatch):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed with an invalid epsilon")
+
+        monkeypatch.setattr("fixedform.cli.anneal", no_anneal)
+        out = tmp_path / "t.json"
+        code = main(["assemble", "--bank", str(bank12_csv), "--n", "4", "--seed", "0",
+                     "--epsilon", "-1", "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_trace_leaves_no_test_file(self, tmp_path, bank12_csv, scaled_target_arg):
+        out = tmp_path / "t.json"
+        code = main(["assemble", "--bank", str(bank12_csv), "--target", scaled_target_arg,
+                     "--n", "6", "--seed", "0", "--trace", str(tmp_path / "no" / "trace.csv"),
+                     "-o", str(out)])
+        assert code == EXIT_IO
+        assert not out.exists()
+        assert not (tmp_path / "t.json.manifest.json").exists()
+
+
+class TestManifestFingerprints:
+    def sha256(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_counts_with_a_bank_fingerprints_both_inputs(self, tmp_path, bank12_csv):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12)
+        out = tmp_path / "c.csv"
+        assert main(["counts", "--sweep", str(sweep_csv), "--bank", str(bank12_csv),
+                     "--anchor-n", "2", "-o", str(out)]) == EXIT_OK
+        manifest = read_manifest(out)
+        assert manifest["bank_sha256"] == self.sha256(bank12_csv)
+        assert manifest["sweep_sha256"] == self.sha256(sweep_csv)
+        assert "target_coefficients_descending" not in manifest
+
+    def test_counts_without_a_bank_has_no_bank_fingerprint(self, tmp_path):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12)
+        out = tmp_path / "c.csv"
+        assert main(["counts", "--sweep", str(sweep_csv), "--m", "12",
+                     "--anchor-n", "2", "-o", str(out)]) == EXIT_OK
+        assert list(read_manifest(out)) == ["command", "parameters", "sweep_sha256",
+                                            "tool_version", "timestamp"]
+
+    def test_enumerate_fingerprints_bank_and_target(self, tmp_path, bank12_csv):
+        out = tmp_path / "e.json"
+        assert main(["enumerate", "--bank", str(bank12_csv), "--target", "1,0,2",
+                     "--n", "2", "-o", str(out)]) == EXIT_OK
+        manifest = read_manifest(out)
+        assert list(manifest) == ["command", "parameters", "bank_sha256",
+                                  "target_coefficients_descending", "tool_version", "timestamp"]
+        assert manifest["bank_sha256"] == self.sha256(bank12_csv)
+        assert manifest["target_coefficients_descending"] == [1.0, 0.0, 2.0]
+
+    def test_gen_bank_fingerprints_its_output(self, tmp_path):
+        out = tmp_path / "bank.csv"
+        assert main(["gen-bank", "--m", "4", "--seed", "2", "-o", str(out)]) == EXIT_OK
+        assert read_manifest(out)["bank_sha256"] == self.sha256(out)
+
+
+# Malformed-input property tests: whatever the flags or input files hold,
+# main returns a documented exit code and never prints a traceback. Flags
+# start from in-range values and one of them may then be replaced by junk.
+# Values stay bounded: K <= 16384 (at most two 8192-draw chunks, so at most
+# two threads), --m <= 40, --grid-points <= 241, lengths <= 13 on a 12-item
+# bank.
+JUNK = st.sampled_from(["", "x", "-", "--", "-1", "0", "13", "1e400", "nan", "inf", "0x10",
+                        "3.5", " 2", "1,,2", "sideways", "no/out", "bank_ff.csv", "missing.csv"])
+PATHS = ("bank.csv", "bank_ff.csv", "bank_bad.csv", "sweep.csv", "sweep_ff.csv", "sweep_dup.csv",
+         "config.json", "config_ff.json", "missing.csv", "no/out", ".")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_TARGET = {
+    "--target": st.sampled_from(["lsat", "0.02,0,0.1,0,0.3", "1", "1e308,1e308,1e308"]),
+    "--grid-points": _ints(2, 241),
+    "--epsilon": _floats(0.01, 5.0),
+}
+# Per command: flags always given (so the budgets stay small), then optional flags.
+_FLAGS = {
+    "gen-bank": (
+        {"--m": _ints(1, 40)},
+        {"--seed": _ints(0, 2**64), "--a-min": _floats(0.1, 2.0), "--a-max": _floats(2.0, 4.0),
+         "--b-min": _floats(-4.0, 0.0), "--b-max": _floats(0.0, 4.0), "--c": _floats(0.0, 0.9)},
+    ),
+    "sweep": (
+        {"--bank": st.just("bank.csv"), "--K": _ints(1, 16384), "--n-from": _ints(1, 12),
+         "--n-to": _ints(1, 12), "--seed": _ints(0, 2**64)},
+        {"--modes": st.sampled_from(["absolute", "exceeding,relative", "relative"]),
+         "--K-meeting": _ints(1, 16384), "--K-exceeding": _ints(1, 16384),
+         "--n-step": _ints(1, 12), "--workers": st.sampled_from(["-1", "0", "1", "2"]),
+         "--config": st.sampled_from(["config.json", "config_ff.json"]), **_TARGET},
+    ),
+    "assemble": (
+        {"--bank": st.just("bank.csv"), "--n": _ints(1, 12), "--max-proposals": _ints(1, 2000)},
+        {"--seed": _ints(0, 2**64), "--T0": _floats(0.001, 1.0), "--alpha": _floats(0.01, 0.99),
+         "--iters-per-temp": _ints(1, 1000), "--greedy-init": st.none(), "--trace": st.just("trace"),
+         **_TARGET},
+    ),
+    "counts": (
+        {"--sweep": st.just("sweep.csv"), "--m": _ints(5, 40), "--anchor-n": _ints(2, 5)},
+        {"--bank": st.just("bank.csv"), "--modes": st.sampled_from(["absolute", "exceeding"])},
+    ),
+    "enumerate": (
+        {"--bank": st.just("bank.csv"), "--n": _ints(1, 12)},
+        dict(_TARGET),
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    flags = draw(st.fixed_dictionaries({**required, "-o": st.just("out")}, optional=optional))
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(flags)))
+        flags[flag] = draw(st.one_of(JUNK, st.sampled_from(PATHS)))
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, bank12_csv):
+    root = tmp_path_factory.mktemp("inputs")
+    bank = bank12_csv.read_bytes()
+    (root / "bank.csv").write_bytes(bank)
+    (root / "bank_ff.csv").write_bytes(bank[:40] + b"\xff" + bank[40:])
+    (root / "bank_bad.csv").write_text("id,a,b,c\n0,zap,0.0,0.2\n")
+    write_unit_sweep(root / "sweep.csv", [2, 3, 4, 5], m=12, mu=0.25)
+    sweep = (root / "sweep.csv").read_bytes()
+    (root / "sweep_ff.csv").write_bytes(sweep + b"\xff\n")
+    (root / "sweep_dup.csv").write_bytes(sweep + sweep.splitlines(keepends=True)[1])
+    (root / "config.json").write_text('{"K_meeting": 2.5, "workers": 2.5}')
+    (root / "config_ff.json").write_bytes(b'{"n": "\xff"}')
+    return root
+
+
+def _run_isolated(argv, inputs):
+    """Run main in a fresh working directory; return (exit code, stderr).
+
+    Names in PATHS given to an input flag refer to the prepared input files;
+    every other relative path lands in the working directory.
+    """
+    argv = [str(inputs / value) if flag in ("--bank", "--sweep", "--config") and value in PATHS
+            else value for flag, value in zip([""] + argv, argv)]
+    cwd = os.getcwd()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+_JUNK_CELLS = st.sampled_from(["", "x", "-1", "2.0", "nan", "inf", "1e400", "99", "\xff", "\x00", '"'])
+
+
+def _cell(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def _bank_rows(draw):
+    return [[str(i), draw(_cell(0.1, 3.0)), draw(_cell(-3.0, 3.0)), draw(_cell(0.0, 0.5))]
+            for i in range(draw(st.integers(0, 14)))]
+
+
+@st.composite
+def _sweep_rows(draw):
+    # Length 2 is the anchor the counts run asks for.
+    lengths = [2] + draw(st.lists(st.integers(1, 12).filter(lambda n: n != 2), max_size=5, unique=True))
+    return [[str(n)] + [draw(_cell(0.0, 1.0)), "0.0"] * 3 + ["100", "100", "0"] for n in lengths]
+
+
+@st.composite
+def _csv_bytes(draw, header, rows):
+    """A CSV file built from in-range rows, maybe with one cell, row or header spoiled."""
+    lines = [list(header)] + draw(rows)
+    spoil = draw(st.sampled_from(["none", "cell", "drop", "extra", "header"]))
+    if spoil != "none":
+        line = lines[draw(st.integers(0 if spoil == "header" else min(1, len(lines) - 1),
+                                      0 if spoil == "header" else len(lines) - 1))]
+        if spoil == "drop" and line:
+            line.pop()
+        elif spoil == "extra":
+            line.append(draw(_JUNK_CELLS))
+        elif line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(_JUNK_CELLS)
+    return "\n".join(",".join(line) for line in lines).encode()
+
+
+_JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+                       st.sampled_from(["", "x", "lsat", "3", "1e400", "nan"]),
+                       st.lists(st.integers(0, 3), max_size=2),
+                       st.dictionaries(st.just("k"), st.integers(0, 3)))
+
+
+@st.composite
+def _config_bytes(draw):
+    """A sweep config (maybe a manifest) with small draws and lengths, maybe one value spoiled."""
+    doc = draw(st.fixed_dictionaries(
+        {"K": st.integers(1, 12), "n_from": st.integers(1, 6), "n_to": st.integers(6, 12)},
+        optional={"n_step": st.integers(1, 3), "workers": st.integers(1, 2),
+                  "seed": st.integers(0, 2**64), "modes": st.sampled_from(["absolute", "exceeding"]),
+                  "target": st.just("lsat"), "grid_points": st.integers(2, 121),
+                  "epsilon": st.floats(0.1, 3.0), "K_meeting": st.none()},
+    ))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["K", "n_from", "n_to", "n_step", "workers", "seed", "modes",
+                                    "target", "grid_points", "epsilon", "bank", "trace", "turbo"]))
+        doc[key] = draw(_JSON_JUNK)
+        if key == "K" and doc[key] is None:
+            doc[key] = 3.7  # a null K would fall back to the 100,000-draw default
+    if draw(st.booleans()):
+        doc = {"command": draw(st.sampled_from(["sweep", "counts", None])), "parameters": doc}
+    return json.dumps(doc).encode()
+
+
+class TestMalformedInputProperties:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv())
+    def test_any_argv_gives_a_documented_exit_code(self, input_files, argv):
+        code, err = _run_isolated(argv, input_files)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BUDGET)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["bank", "sweep", "config"]), data=st.data())
+    def test_any_input_file_gives_a_documented_exit_code(self, input_files, kind, data):
+        structured = {
+            "bank": _csv_bytes(["id", "a", "b", "c"], _bank_rows()),
+            "sweep": _csv_bytes(SWEEP_HEADER, _sweep_rows()),
+            "config": _config_bytes(),
+        }[kind]
+        content = data.draw(st.one_of(st.binary(max_size=64), structured))
+        path = input_files / f"fuzz_{kind}"
+        path.write_bytes(content)
+        argv = {
+            "bank": ["enumerate", "--bank", str(path), "--n", "2"],
+            "sweep": ["counts", "--sweep", str(path), "--m", "12", "--anchor-n", "2"],
+            "config": ["sweep", "--bank", "bank.csv", "--config", str(path)],
+        }[kind]
+        code, err = _run_isolated(argv + ["-o", "out"], input_files)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BUDGET)
+        assert "Traceback" not in err

@@ -351,3 +351,11 @@ class TestSweepCSV:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(FileFormatError, match="not a sweep CSV"):
             read_sweep_csv(path)
+
+    def test_repeated_length_rejected(self, tmp_path):
+        row = "{},0.5,0.1,0.5,0.1,0.5,0.1,100,100,0"
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join([",".join(SWEEP_HEADER), row.format(3), row.format(4),
+                                   row.format(3)]) + "\n")
+        with pytest.raises(FileFormatError, match="line 4: length n=3 repeats line 2"):
+            read_sweep_csv(path)
