@@ -8,13 +8,13 @@ always yields the same bank, byte for byte after save.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BankFormatError, ParameterError
+from .files import read_csv, write_csv
 from .irt import ItemBank, ItemParams
 
 __all__ = ["BankGenSpec", "generate_bank", "save_bank", "load_bank"]
@@ -60,42 +60,27 @@ def save_bank(bank: ItemBank, path) -> None:
 
     17 digits round-trip any double exactly, so load(save(bank)) == bank.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        for i, item in enumerate(bank.items):
-            writer.writerow([i, repr(item.a), repr(item.b), repr(item.c)])
+    rows = ([i, repr(item.a), repr(item.b), repr(item.c)] for i, item in enumerate(bank.items))
+    write_csv(path, _HEADER, rows)
 
 
 def load_bank(path) -> ItemBank:
     """Read a bank CSV, validating ids and parameter invariants.
 
-    Errors name the 1-based line number of the first offending row.
+    Errors name the file and the line of the first offending row.
     """
     items: list[ItemParams] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise BankFormatError(f"line 1: expected header {','.join(_HEADER)!r}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    for line_no, row in read_csv(path, _HEADER, "bank CSV", BankFormatError):
+        try:
             if len(row) != 4:
-                raise BankFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
-            try:
-                item_id = int(row[0])
-                a, b, c = (float(x) for x in row[1:])
-            except ValueError as exc:
-                raise BankFormatError(f"line {line_no}: {exc}") from None
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            item_id = int(row[0])
+            a, b, c = (float(x) for x in row[1:])
             if item_id != len(items):
-                raise BankFormatError(
-                    f"line {line_no}: expected id {len(items)} (ids must be contiguous from 0), got {item_id}"
-                )
-            try:
-                items.append(ItemParams(a, b, c))
-            except ParameterError as exc:
-                raise BankFormatError(f"line {line_no}: {exc}") from None
+                raise ValueError(f"expected id {len(items)} (ids must be contiguous from 0), got {item_id}")
+            items.append(ItemParams(a, b, c))
+        except ValueError as exc:
+            raise BankFormatError(f"{path}, line {line_no}: {exc}") from None
     if not items:
-        raise BankFormatError("bank file contains no items")
+        raise BankFormatError(f"{path}: bank file contains no items")
     return ItemBank(tuple(items))

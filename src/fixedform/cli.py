@@ -15,8 +15,6 @@ one of them.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import math
 import os
@@ -28,6 +26,7 @@ from .anneal import AnnealConfig, anneal
 from .bank import BankGenSpec, generate_bank, load_bank, save_bank
 from .counts import binom_total, enumerate_exact, extrapolate_counts
 from .errors import FileFormatError, FixedFormError, ParameterError
+from .files import read_json, sha256, write_csv, write_json
 from .irt import AbilityGrid, Curve, test_information
 from .metrics import DEFAULT_EPSILON, check_epsilon, fit_report
 from .sampling import MODES, read_sweep_csv, sweep, write_sweep_csv
@@ -153,23 +152,9 @@ def _target_curve(args) -> Curve:
     return tabulate_target(parse_target(args.target), AbilityGrid(num_points=args.grid_points))
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _parameters(args) -> dict:
     """A command's parameters: what its manifest records and what ``--config`` may set."""
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "config")}
-
-
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _write_manifest(args) -> None:
@@ -177,14 +162,14 @@ def _write_manifest(args) -> None:
     doc = {"command": args.command, "parameters": params}
     bank = args.out if args.command == "gen-bank" else params.get("bank")
     if bank is not None:
-        doc["bank_sha256"] = _sha256(bank)
+        doc["bank_sha256"] = sha256(bank)
     if params.get("sweep") is not None:
-        doc["sweep_sha256"] = _sha256(params["sweep"])
+        doc["sweep_sha256"] = sha256(params["sweep"])
     if "target" in params:
         doc["target_coefficients_descending"] = list(reversed(parse_target(params["target"]).coefficients))
     doc["tool_version"] = __version__
     doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    _write_json(f"{args.out}.manifest.json", doc)
+    write_json(f"{args.out}.manifest.json", doc)
 
 
 def _cmd_gen_bank(args) -> tuple[int, str]:
@@ -250,12 +235,9 @@ def _cmd_assemble(args) -> tuple[int, str]:
     doc = result.to_json_dict()
     doc["fit"] = fit_report(final_curve, curve, args.epsilon).to_json_dict()
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["proposal", "energy", "temperature"])
-            for proposal, energy, temperature in result.energy_trace:
-                writer.writerow([proposal, repr(energy), repr(temperature)])
-    _write_json(args.out, doc)
+        trace = ([proposal, repr(energy), repr(temp)] for proposal, energy, temp in result.energy_trace)
+        write_csv(args.trace, ["proposal", "energy", "temperature"], trace)
+    write_json(args.out, doc)
     if result.succeeded:
         return EXIT_OK, f"exceeding test found after {result.proposals} proposals"
     return EXIT_BUDGET, (
@@ -304,22 +286,13 @@ def _cmd_counts(args) -> tuple[int, str]:
         anchor_log10 = math.log10(anchor_mu) + binom_total(m, args.anchor_n).log10
         curves[mode] = extrapolate_counts(args.anchor_n, anchor_log10, mu_curve, m).as_dict()
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "log10_N", "log10_N_A", "log10_N_R", "log10_N_E", "flags"])
-        for n in sorted(n_values):
-            row: list = [n, repr(binom_total(m, n).log10)]
-            notes = []
-            for mode in ("absolute", "relative", "exceeding"):
-                if mode not in curves:
-                    row.append("")
-                    continue
-                value = curves[mode][n]
-                row.append(repr(value))
-                if math.isnan(value):
-                    notes.append(f"{_COUNT_COLUMNS[mode]}:no-estimate")
-            row.append(";".join(notes))
-            writer.writerow(row)
+    rows = []
+    for n in sorted(n_values):
+        values = {mode: curve[n] for mode, curve in curves.items()}
+        flags = ";".join(f"{_COUNT_COLUMNS[mode]}:no-estimate" for mode, v in values.items() if math.isnan(v))
+        rows.append([n, repr(binom_total(m, n).log10),
+                     *(repr(values[mode]) if mode in values else "" for mode in MODES), flags])
+    write_csv(args.out, ["n", "log10_N", "log10_N_A", "log10_N_R", "log10_N_E", "flags"], rows)
     return EXIT_OK, f"{len(n_values)} lengths, anchor n={args.anchor_n}"
 
 
@@ -336,7 +309,7 @@ def _cmd_enumerate(args) -> tuple[int, str]:
         "N_R": counts.relative,
         "N_E": counts.exceeding,
     }
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     return EXIT_OK, f"N={counts.total}"
 
 
@@ -348,11 +321,7 @@ def _load_config(path, command: str, defaults: dict) -> dict:
     bool flag, and any other scalar goes to the parser as text so that the
     flag's own type checks it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"invalid JSON: {path}: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
     if "parameters" in doc and isinstance(doc["parameters"], dict):
@@ -392,7 +361,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(arg_list)
         code, detail = args.func(args)
         _write_manifest(args)
-    except (FileFormatError, OSError, UnicodeDecodeError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"fixedform: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (_UsageError, FixedFormError) as exc:

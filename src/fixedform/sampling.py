@@ -13,7 +13,6 @@ seed).
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FileFormatError, ParameterError
+from .files import read_csv, write_csv
 from .irt import Curve, ItemBank, TestForm, form_curves, information_matrix
 from .metrics import check_epsilon, fit_batch
 
@@ -207,6 +207,8 @@ def sweep(
         raise ParameterError("at least one mode is required")
     for n in n_values:
         _check_length(n, bank.m)
+    if len(set(n_values)) < len(n_values):
+        raise ParameterError(f"test lengths must not repeat, got {list(n_values)}")
 
     rows = []
     for n in n_values:
@@ -221,31 +223,28 @@ def sweep(
     return rows
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
+def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
     """Write sweep results; modes that were not run leave empty cells."""
 
     def fmt(est: EstimateResult | None, attr: str) -> str:
         return "" if est is None else repr(getattr(est, attr))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            meeting = row.absolute or row.relative
-            writer.writerow(
-                [
-                    row.n,
-                    fmt(row.absolute, "mu_hat"),
-                    fmt(row.absolute, "std_err"),
-                    fmt(row.relative, "mu_hat"),
-                    fmt(row.relative, "std_err"),
-                    fmt(row.exceeding, "mu_hat"),
-                    fmt(row.exceeding, "std_err"),
-                    meeting.draws if meeting is not None else "",
-                    row.exceeding.draws if row.exceeding is not None else "",
-                    row.seed,
-                ]
-            )
+    def cells(row: SweepRow) -> list:
+        meeting = row.absolute or row.relative
+        return [
+            row.n,
+            fmt(row.absolute, "mu_hat"),
+            fmt(row.absolute, "std_err"),
+            fmt(row.relative, "mu_hat"),
+            fmt(row.relative, "std_err"),
+            fmt(row.exceeding, "mu_hat"),
+            fmt(row.exceeding, "std_err"),
+            meeting.draws if meeting is not None else "",
+            row.exceeding.draws if row.exceeding is not None else "",
+            row.seed,
+        ]
+
+    write_csv(path, SWEEP_HEADER, map(cells, rows))
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -256,29 +255,17 @@ def read_sweep_csv(path) -> list[dict]:
     """
     out: list[dict] = []
     lines: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_HEADER:
-            raise FileFormatError(f"{path}: not a sweep CSV: header is {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(SWEEP_HEADER):
-                    raise ValueError(f"{len(row)} cells, expected {len(SWEEP_HEADER)}")
-                record: dict = {"n": int(row[0]), "seed": int(row[9])}
-                for key, cell in zip(SWEEP_HEADER[1:9], row[1:9]):
-                    if cell == "":
-                        record[key] = None
-                    elif key.startswith("K_"):
-                        record[key] = int(cell)
-                    else:
-                        record[key] = float(cell)
-                if record["n"] in lines:
-                    raise ValueError(f"length n={record['n']} repeats line {lines[record['n']]}")
-            except ValueError as exc:
-                raise FileFormatError(f"{path}, line {reader.line_num}: {exc}") from None
-            lines[record["n"]] = reader.line_num
-            out.append(record)
+    for line_no, row in read_csv(path, SWEEP_HEADER, "sweep CSV"):
+        try:
+            if len(row) != len(SWEEP_HEADER):
+                raise ValueError(f"{len(row)} cells, expected {len(SWEEP_HEADER)}")
+            record: dict = {"n": int(row[0]), "seed": int(row[9])}
+            for key, cell in zip(SWEEP_HEADER[1:9], row[1:9]):
+                record[key] = None if cell == "" else int(cell) if key.startswith("K_") else float(cell)
+            if record["n"] in lines:
+                raise ValueError(f"length n={record['n']} repeats line {lines[record['n']]}")
+        except ValueError as exc:
+            raise FileFormatError(f"{path}, line {line_no}: {exc}") from None
+        lines[record["n"]] = line_no
+        out.append(record)
     return out

@@ -64,8 +64,10 @@ def eval_target(spec: TargetSpec, theta):
     """Evaluate the target polynomial (Horner form); accepts arrays."""
     theta = np.asarray(theta, dtype=np.float64)
     result = np.full_like(theta, spec.coefficients[-1])
-    for coeff in reversed(spec.coefficients[:-1]):
-        result = result * theta + coeff
+    # An overflow gives inf or nan, which Curve rejects as non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff in reversed(spec.coefficients[:-1]):
+            result = result * theta + coeff
     return float(result) if result.ndim == 0 else result
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -535,6 +536,50 @@ class TestMalformedInputFiles:
                                            "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
         assert "line 4" in err and "n=3 repeats line 3" in err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_over_long_bank_field(self, tmp_path, capsys):
+        bank = tmp_path / "bank.csv"
+        bank.write_text("id,a,b,c\n0,1.0,0.0,0." + "2" * 200_000 + "\n")
+        err = self.check_io_error(capsys, ["enumerate", "--bank", str(bank), "--n", "1",
+                                           "-o", str(tmp_path / "e.json")])
+        assert f"{bank}, line 2" in err and "field larger than field limit" in err
+        assert not (tmp_path / "e.json").exists()
+
+    def test_over_long_sweep_field(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2], m=12)
+        with open(sweep_csv, "a") as fh:
+            fh.write("3,0." + "5" * 200_000 + ",0.0,1.0,0.0,1.0,0.0,100,100,0\n")
+        err = self.check_io_error(capsys, ["counts", "--sweep", str(sweep_csv), "--m", "12",
+                                           "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
+        assert f"{sweep_csv}, line 3" in err and "field larger than field limit" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["bank", "sweep", "config"])
+    def test_a_decode_error_names_the_bad_file(self, tmp_path, bank12_csv, capsys, bad):
+        files = {"bank": tmp_path / "bank.csv", "sweep": tmp_path / "sweep.csv",
+                 "config": tmp_path / "config.json"}
+        files["bank"].write_bytes(bank12_csv.read_bytes())
+        write_unit_sweep(files["sweep"], [2, 3], m=12)
+        files["config"].write_text('{"anchor_n": 2}\n')
+        files[bad].write_bytes(files[bad].read_bytes()[:-1] + b"\xff\n")
+        err = self.check_io_error(capsys, ["counts", "--bank", str(files["bank"]),
+                                           "--sweep", str(files["sweep"]),
+                                           "--config", str(files["config"]),
+                                           "-o", str(tmp_path / "c.csv")])
+        assert str(files[bad]) in err
+        assert all(str(path) not in err for kind, path in files.items() if kind != bad)
+        assert not (tmp_path / "c.csv").exists()
+
+
+def test_an_overflowing_target_is_a_usage_error_without_warnings(tmp_path, bank12_csv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["enumerate", "--bank", str(bank12_csv), "--n", "2",
+                     "--target", "1e308,1e308,1e308", "-o", str(tmp_path / "e.json")])
+    assert code == EXIT_USAGE
+    assert "curve values must all be finite" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 class TestAssembleOutputs:

@@ -300,6 +300,8 @@ class TestSweep:
             sweep(bank12, [4], scaled_curve_12, 1.0, 0, 100, 100, modes=())
         with pytest.raises(ParameterError, match="test length"):
             sweep(bank12, [99], scaled_curve_12, 1.0, 0, 100, 100)
+        with pytest.raises(ParameterError, match="must not repeat"):
+            sweep(bank12, [3, 3], scaled_curve_12, 1.0, 0, 100, 100)
 
 
 class TestSweepCSV:
@@ -345,6 +347,19 @@ class TestSweepCSV:
         assert record["K_meeting"] is None
         assert record["mu_E"] is not None
         assert record["K_exceeding"] == 600
+
+    def test_a_failed_write_keeps_the_old_file(self, rows, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("old contents\n")
+
+        def interrupted():
+            yield rows[0]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_sweep_csv(interrupted(), path)
+        assert path.read_bytes() == b"old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "not_sweep.csv"
