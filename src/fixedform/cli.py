@@ -39,8 +39,8 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_BUDGET = 3
 
-_COUNT_COLUMNS = {"absolute": "N_A", "relative": "N_R", "exceeding": "N_E"}
-_MU_COLUMNS = {"absolute": "mu_A", "relative": "mu_R", "exceeding": "mu_E"}
+# A fit class's letter in the column names: mu_A, log10_N_A, N_A.
+_LETTERS = {"absolute": "A", "relative": "R", "exceeding": "E"}
 
 
 class _UsageError(Exception):
@@ -149,6 +149,8 @@ def _resolve_seed(args) -> int:
 
 
 def _target_curve(args) -> Curve:
+    # Every command with --target also takes --epsilon: checked here, before any work.
+    check_epsilon(args.epsilon)
     return tabulate_target(parse_target(args.target), AbilityGrid(num_points=args.grid_points))
 
 
@@ -219,9 +221,8 @@ def _cmd_sweep(args) -> tuple[int, str]:
 def _cmd_assemble(args) -> tuple[int, str]:
     _resolve_seed(args)
     _require(args.n, "--n")
-    check_epsilon(args.epsilon)
-    bank = load_bank(_require(args.bank, "--bank"))
     curve = _target_curve(args)
+    bank = load_bank(_require(args.bank, "--bank"))
     config = AnnealConfig(
         t0=args.T0,
         alpha=args.alpha,
@@ -269,7 +270,7 @@ def _cmd_counts(args) -> tuple[int, str]:
 
     curves = {}
     for mode in modes:
-        column = _MU_COLUMNS[mode]
+        column = f"mu_{_LETTERS[mode]}"
         mu_curve = {}
         for rec in records:
             if rec[column] is None:
@@ -289,7 +290,7 @@ def _cmd_counts(args) -> tuple[int, str]:
     rows = []
     for n in sorted(n_values):
         values = {mode: curve[n] for mode, curve in curves.items()}
-        flags = ";".join(f"{_COUNT_COLUMNS[mode]}:no-estimate" for mode, v in values.items() if math.isnan(v))
+        flags = ";".join(f"N_{_LETTERS[mode]}:no-estimate" for mode, v in values.items() if math.isnan(v))
         rows.append([n, repr(binom_total(m, n).log10),
                      *(repr(values[mode]) if mode in values else "" for mode in MODES), flags])
     write_csv(args.out, ["n", "log10_N", "log10_N_A", "log10_N_R", "log10_N_E", "flags"], rows)

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .irt import Curve, ItemBank, form_curves, information_matrix
-from .metrics import check_epsilon, fit_batch
+from .irt import Curve, ItemBank, check_length, information_matrix
+from .metrics import check_epsilon, count_hits
 # perfbench/tracing.py patches these names on this module; keep them bound.
 from .irt import test_information  # noqa: F401
 from .metrics import is_absolute_meeting, is_exceeding, is_relative_meeting  # noqa: F401
@@ -168,8 +169,7 @@ def enumerate_exact(
     lexicographic order and fixed-size chunks, through the batch kernels.
     Refuses to run when C(m, n) exceeds ``budget``.
     """
-    if n < 1 or n > bank.m:
-        raise ParameterError(f"test length must lie in [1, {bank.m}], got {n}")
+    check_length(n, bank.m)
     check_epsilon(epsilon)
     total = math.comb(bank.m, n)
     if total > budget:
@@ -178,10 +178,8 @@ def enumerate_exact(
         )
     info = information_matrix(bank, target_curve.grid)
     subsets = itertools.combinations(range(bank.m), n)
-    fields = ("absolute", "relative", "exceeding")
-    hits = dict.fromkeys(fields, 0)
+    classes = ("absolute", "relative", "exceeding")
+    hits = Counter()
     while chunk := list(itertools.islice(subsets, _ENUMERATION_CHUNK)):
-        fit = fit_batch(form_curves(info, np.array(chunk)), target_curve, epsilon, fields)
-        for name in fields:
-            hits[name] += int(fit[name].sum())
+        hits.update(count_hits(info, np.array(chunk), target_curve, epsilon, classes))
     return ExactCounts(total, **hits)

@@ -35,6 +35,7 @@ __all__ = [
     "test_information",
     "information_matrix",
     "form_curves",
+    "check_length",
     "standard_error",
 ]
 
@@ -226,6 +227,12 @@ def form_curves(info: np.ndarray, ids) -> np.ndarray:
     for column in columns[1:]:
         curves += info.take(column, axis=0)
     return curves
+
+
+def check_length(n: int, m: int) -> None:
+    """Reject a test length outside [1, m] for a bank of m items."""
+    if n < 1 or n > m:
+        raise ParameterError(f"test length must lie in [1, {m}], got {n}")
 
 
 def test_information(bank: ItemBank, test: TestForm, grid: AbilityGrid) -> Curve:

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .irt import AbilityGrid, Curve
+from .irt import AbilityGrid, Curve, form_curves
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -34,7 +34,9 @@ __all__ = [
     "is_exceeding",
     "is_absolute_meeting",
     "is_relative_meeting",
+    "deficiency_rows",
     "fit_batch",
+    "count_hits",
     "FitReport",
     "fit_report",
 ]
@@ -44,6 +46,10 @@ DEFAULT_EPSILON = 1.225
 
 # What fit_batch can compute; also FitReport's fields and JSON keys, in order.
 FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
+
+# Curves materialized at once by count_hits; counts do not depend on it.
+# 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
+_CURVE_BATCH = 256
 
 
 def trapezoid_weights(grid: AbilityGrid) -> np.ndarray:
@@ -78,6 +84,14 @@ def _l2_rows(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def deficiency_rows(curves: np.ndarray, target: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integrated shortfall of ``curves`` below ``target``, over the last axis."""
+    gap = target - curves
+    np.maximum(gap, 0.0, out=gap)
+    gap *= weights
+    return gap.sum(axis=-1)
+
+
 def fit_batch(
     curves: np.ndarray,
     target_curve: Curve,
@@ -102,10 +116,7 @@ def fit_batch(
     if "absolute" in fields:
         out["absolute"] = out["l2"] < epsilon
     if "energy" in fields:
-        gap = target - curves
-        np.maximum(gap, 0.0, out=gap)
-        gap *= weights
-        out["energy"] = gap.sum(axis=1)
+        out["energy"] = deficiency_rows(curves, target, weights)
     if "lambda" in fields or "relative" in fields:
         s_target = float((target * weights).sum())
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,6 +126,17 @@ def fit_batch(
                 scaled -= target
                 out["relative"] = (lam < 1.0) & (_l2_rows(scaled, weights) < epsilon)
     return {name: out[name] for name in fields}
+
+
+def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
+               epsilon: float | None, classes: tuple[str, ...]) -> dict[str, int]:
+    """Hits per boolean fit class in ``classes`` among the forms whose item ids are the rows of ``ids``."""
+    hits = dict.fromkeys(classes, 0)
+    for lo in range(0, len(ids), _CURVE_BATCH):
+        fit = fit_batch(form_curves(info, ids[lo : lo + _CURVE_BATCH]), target_curve, epsilon, classes)
+        for name in classes:
+            hits[name] += int(fit[name].sum())
+    return hits
 
 
 def _fit_one(test_curve: Curve, target_curve: Curve, epsilon, *fields: str) -> list:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import FileFormatError, ParameterError
 from .files import read_csv, write_csv
-from .irt import Curve, ItemBank, TestForm, form_curves, information_matrix
-from .metrics import check_epsilon, fit_batch
+from .irt import Curve, ItemBank, TestForm, check_length, information_matrix
+from .metrics import check_epsilon, count_hits
 
 __all__ = [
     "MODES",
@@ -42,10 +42,6 @@ MODES = ("absolute", "relative", "exceeding")
 # Draws per RNG substream. Fixed: changing it changes which tests a seed
 # produces, so it is part of the reproducibility contract, not a tunable.
 _CHUNK = 8192
-
-# Curves materialized at once within a chunk; results do not depend on it.
-# 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
-_SUBBATCH = 256
 
 SWEEP_HEADER = ["n", "mu_A", "se_A", "mu_R", "se_R", "mu_E", "se_E", "K_meeting", "K_exceeding", "seed"]
 
@@ -77,13 +73,8 @@ class SweepRow:
 
 def draw_random_test(bank: ItemBank, n: int, rng: np.random.Generator) -> TestForm:
     """Draw one test uniformly over all C(m, n) subsets (partial Fisher-Yates)."""
-    _check_length(n, bank.m)
+    check_length(n, bank.m)
     return TestForm.from_ids(_sample_batch(bank.m, n, 1, rng)[0])
-
-
-def _check_length(n: int, m: int) -> None:
-    if n < 1 or n > m:
-        raise ParameterError(f"test length must lie in [1, {m}], got {n}")
 
 
 def _sample_batch(m: int, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,6 +89,23 @@ def _sample_batch(m: int, n: int, size: int, rng: np.random.Generator) -> np.nda
         flat[swap] = ids[j]
         ids[j] = picked
     return ids[:n].T
+
+
+def _check_estimate(bank, n, draws, mode, epsilon, seed, workers) -> float | None:
+    # estimate_mu's argument checks; returns the epsilon the mode uses.
+    check_length(n, bank.m)
+    if draws < 1:
+        raise ParameterError(f"draw count must be >= 1, got {draws}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
+    if mode == "exceeding":
+        return None
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
+    check_epsilon(epsilon)
+    return epsilon
 
 
 def estimate_mu(
@@ -118,29 +126,13 @@ def estimate_mu(
     lambda < 1 and fits the target within ``epsilon``); the meeting modes
     require ``epsilon``.
     """
-    _check_length(n, bank.m)
-    if draws < 1:
-        raise ParameterError(f"draw count must be >= 1, got {draws}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
-    if workers < 1:
-        raise ParameterError(f"worker count must be >= 1, got {workers}")
-    if mode == "exceeding":
-        epsilon = None
-    elif mode in MODES:
-        check_epsilon(epsilon)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
+    epsilon = _check_estimate(bank, n, draws, mode, epsilon, seed, workers)
     info = information_matrix(bank, target_curve.grid)
 
     def chunk_hits(start: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence((seed, start // _CHUNK)))
         ids = _sample_batch(bank.m, n, min(_CHUNK, draws - start), rng)
-        hits = 0
-        for lo in range(0, len(ids), _SUBBATCH):
-            curves = form_curves(info, ids[lo : lo + _SUBBATCH])
-            hits += int(fit_batch(curves, target_curve, epsilon, (mode,))[mode].sum())
-        return hits
+        return count_hits(info, ids, target_curve, epsilon, (mode,))[mode]
 
     starts = range(0, draws, _CHUNK)
     workers = min(workers, len(starts))
@@ -195,28 +187,26 @@ def sweep(
     """Run the selected estimators at every test length in ``n_values``.
 
     Each (length, mode) pair gets its own derived seed, so adding or
-    removing lengths or modes never perturbs the others' estimates.
+    removing lengths or modes never perturbs the others' estimates. Every
+    argument is checked before the first estimate runs.
     """
     if not n_values:
         raise ParameterError("n_values must be nonempty")
     modes = tuple(modes)
-    for mode in modes:
-        if mode not in MODES:
-            raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not modes:
         raise ParameterError("at least one mode is required")
+    draws = {mode: draws_exceeding if mode == "exceeding" else draws_meeting for mode in modes}
     for n in n_values:
-        _check_length(n, bank.m)
+        for mode in modes:
+            _check_estimate(bank, n, draws[mode], mode, epsilon, seed, workers)
     if len(set(n_values)) < len(n_values):
         raise ParameterError(f"test lengths must not repeat, got {list(n_values)}")
 
     rows = []
     for n in n_values:
         estimates = {
-            mode: estimate_mu(
-                bank, n, draws_exceeding if mode == "exceeding" else draws_meeting, mode,
-                target_curve, epsilon=epsilon, seed=_subseed(seed, n, mode), workers=workers,
-            )
+            mode: estimate_mu(bank, n, draws[mode], mode, target_curve, epsilon=epsilon,
+                              seed=_subseed(seed, n, mode), workers=workers)
             for mode in modes
         }
         rows.append(SweepRow(n=n, seed=seed, **estimates))

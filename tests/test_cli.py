@@ -605,6 +605,42 @@ class TestAssembleOutputs:
         assert not (tmp_path / "t.json.manifest.json").exists()
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("dest", ["nodir/b.csv", "d"])
+    def test_error_names_the_destination(self, tmp_path, capsys, monkeypatch, dest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        code = main(["gen-bank", "--m", "4", "--seed", "2", "-o", dest])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert repr(dest) in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
+
+
+class TestInvalidEpsilon:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--modes", "exceeding", "--n-from", "3", "--n-to", "4", "--K", "100",
+         "--seed", "1"],
+        ["sweep", "--n-from", "3", "--n-to", "4", "--K", "100", "--seed", "1"],
+        ["assemble", "--n", "4", "--seed", "1"],
+        ["enumerate", "--n", "4"],
+    ])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+    def test_rejected_before_any_output(self, tmp_path, bank12_csv, capsys, monkeypatch,
+                                        argv, epsilon):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with an invalid epsilon")
+
+        for name in ("sweep", "anneal", "enumerate_exact"):
+            monkeypatch.setattr(f"fixedform.cli.{name}", no_work)
+        out = tmp_path / "out"
+        code = main([*argv, "--bank", str(bank12_csv), "--epsilon", epsilon, "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert "epsilon" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestManifestFingerprints:
     def sha256(self, path):
         return hashlib.sha256(path.read_bytes()).hexdigest()

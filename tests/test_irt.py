@@ -18,7 +18,7 @@ from fixedform import (
     standard_error,
     test_information,
 )
-from fixedform.irt import form_curves
+from fixedform.irt import check_length, form_curves
 
 abilities = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 discriminations = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -234,3 +234,14 @@ class TestStandardError:
             standard_error(0.0)
         with pytest.raises(ParameterError):
             standard_error(-1.0)
+
+
+class TestCheckLength:
+    @pytest.mark.parametrize("n", [1, 7, 12])
+    def test_accepts_lengths_in_range(self, n):
+        check_length(n, 12)
+
+    @pytest.mark.parametrize("n", [-1, 0, 13])
+    def test_rejects_lengths_out_of_range(self, n):
+        with pytest.raises(ParameterError, match=rf"test length must lie in \[1, 12\], got {n}"):
+            check_length(n, 12)

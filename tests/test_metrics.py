@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixedform import (
+    DEFAULT_EPSILON,
     AbilityGrid,
     Curve,
     GridMismatchError,
@@ -25,7 +26,7 @@ from fixedform import (
     test_information,
     trapezoid_weights,
 )
-from fixedform.metrics import FIT_FIELDS, fit_batch
+from fixedform.metrics import FIT_FIELDS, count_hits, deficiency_rows, fit_batch
 
 
 def const_curve(grid, value):
@@ -260,3 +261,43 @@ class TestFitBatch:
             fit = fit_batch(curves, KERNEL_TARGET, 1e9, ("lambda", "relative"))
         assert fit["lambda"][0] == math.inf
         assert fit["relative"].tolist() == [False, True]
+
+
+class TestDeficiencyRows:
+    def test_rows_match_the_per_curve_formula_bitwise(self):
+        target = KERNEL_TARGET.values
+        weights = trapezoid_weights(KERNEL_GRID)
+        rng = np.random.default_rng(5)
+        curves = target * rng.uniform(0.2, 2.0, (200, 1)) + rng.standard_normal((200, target.size))
+        energies = deficiency_rows(curves, target, weights)
+        assert energies.shape == (200,)
+        for values, energy in zip(curves, energies):
+            expected = float((np.maximum(target - values, 0.0) * weights).sum())
+            assert energy == expected
+            assert float(deficiency_rows(values, target, weights)) == expected
+
+
+class TestCountHits:
+    CLASSES = ("absolute", "relative", "exceeding")
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+    def test_matches_a_per_form_recount(self, bank12, grid, scaled_curve_12, rows):
+        rng = np.random.default_rng(rows)
+        # Sorted rows: form_curves then sums in the order test_information uses.
+        ids = np.sort(np.array([rng.choice(bank12.m, 4, replace=False) for _ in range(rows)]), axis=1)
+        hits = count_hits(information_matrix(bank12, grid), ids, scaled_curve_12,
+                          DEFAULT_EPSILON, self.CLASSES)
+        expected = dict.fromkeys(self.CLASSES, 0)
+        for row in ids:
+            report = fit_report(test_information(bank12, TestForm.from_ids(row), grid),
+                                scaled_curve_12, DEFAULT_EPSILON).to_json_dict()
+            for name in self.CLASSES:
+                expected[name] += report[name]
+        assert hits == expected
+        if rows == 600:
+            assert all(hits.values())
+
+    def test_counts_only_the_requested_classes(self, bank12, grid, scaled_curve_12):
+        ids = np.array([[0, 1, 2, 3]])
+        hits = count_hits(information_matrix(bank12, grid), ids, scaled_curve_12, None, ("exceeding",))
+        assert list(hits) == ["exceeding"]

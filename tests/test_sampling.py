@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fixedform
 from fixedform import (
     DEFAULT_EPSILON,
     MODES,
@@ -304,6 +305,30 @@ class TestSweep:
             sweep(bank12, [3, 3], scaled_curve_12, 1.0, 0, 100, 100)
 
 
+    @pytest.mark.parametrize("bad, match", [
+        pytest.param(dict(seed=-1), "seed must be non-negative", id="seed"),
+        pytest.param(dict(draws_exceeding=0), "draw count", id="draws_exceeding"),
+        pytest.param(dict(draws_meeting=0, modes=("exceeding", "absolute")), "draw count",
+                     id="draws_meeting"),
+        pytest.param(dict(epsilon=None, modes=("exceeding", "absolute")), "epsilon",
+                     id="epsilon_none"),
+        pytest.param(dict(epsilon=math.nan, modes=("relative",)), "epsilon", id="epsilon_nan"),
+        pytest.param(dict(workers=0), "worker count", id="workers"),
+    ])
+    def test_every_argument_is_checked_before_any_estimate(
+        self, bank12, scaled_curve_12, monkeypatch, bad, match
+    ):
+        started = []
+        monkeypatch.setattr(sampling, "estimate_mu", lambda *a, **kw: started.append(a[1:4]))
+        args = dict(epsilon=1.0, seed=0, draws_exceeding=100, draws_meeting=100, modes=MODES)
+        with pytest.raises(ParameterError, match=match):
+            sweep(bank12, [3, 4], scaled_curve_12, **{**args, **bad})
+        assert started == []
+        # The stand-in does record: valid arguments start one estimate per (length, mode).
+        sweep(bank12, [3, 4], scaled_curve_12, **args)
+        assert len(started) == 6
+
+
 class TestSweepCSV:
     @pytest.fixture()
     def rows(self, bank12, scaled_curve_12):
@@ -374,3 +399,8 @@ class TestSweepCSV:
                                    row.format(3)]) + "\n")
         with pytest.raises(FileFormatError, match="line 4: length n=3 repeats line 2"):
             read_sweep_csv(path)
+
+
+def test_file_format_error_is_exported():
+    assert fixedform.FileFormatError is FileFormatError
+    assert issubclass(fixedform.BankFormatError, fixedform.FileFormatError)
