@@ -26,7 +26,7 @@ from .anneal import AnnealConfig, anneal
 from .bank import BankGenSpec, generate_bank, load_bank, save_bank
 from .counts import binom_total, enumerate_exact, extrapolate_counts
 from .errors import FileFormatError, FixedFormError, ParameterError
-from .files import read_json, sha256, write_csv, write_json
+from .files import dump_csv, dump_json, read_json, replacing, sha256, write_csv, write_json
 from .irt import AbilityGrid, Curve
 # perfbench/tracing.py patches test_information on this module; keep it bound.
 from .irt import test_information  # noqa: F401
@@ -249,10 +249,13 @@ def _cmd_assemble(args) -> tuple[int, str]:
     result = anneal(bank, args.n, curve, config)
     doc = result.to_json_dict()
     doc["fit"] = fit_report(result.curve, curve, args.epsilon).to_json_dict()
-    if args.trace is not None:
-        trace = ([proposal, repr(energy), repr(temp)] for proposal, energy, temp in result.energy_trace)
-        write_csv(args.trace, ["proposal", "energy", "temperature"], trace)
-    write_json(args.out, doc)
+    # One replacing block, so neither file is written unless both can be.
+    paths = [args.out] if args.trace is None else [args.out, args.trace]
+    with replacing(*paths) as handles:
+        if args.trace is not None:
+            rows = ([proposal, repr(energy), repr(temp)] for proposal, energy, temp in result.energy_trace)
+            dump_csv(handles[1], ["proposal", "energy", "temperature"], rows)
+        dump_json(handles[0], doc)
     if result.succeeded:
         return EXIT_OK, f"exceeding test found after {result.proposals} proposals"
     return EXIT_BUDGET, (

@@ -48,8 +48,10 @@ EXACT_BINOM_MAX_M = 64
 # Refuse to enumerate more subsets than this.
 ENUMERATION_BUDGET = 10_000_000
 
-# Forms classified per batch; memory stays flat whatever C(m, n) is.
-_ENUMERATION_CHUNK = 512
+# Forms classified per batch; memory stays flat whatever C(m, n) is. As many
+# as a sampler chunk, so count_hits can stop screening a chunk whose forms
+# mostly survive its first screen block.
+_ENUMERATION_CHUNK = 8192
 
 NO_ESTIMATE = "no-estimate"
 
@@ -160,9 +162,10 @@ def enumerate_exact(
             f"C({bank.m},{n}) = {total} subsets exceeds the enumeration budget of {budget}"
         )
     info = information_matrix(bank, target_curve.grid)
-    subsets = itertools.combinations(range(bank.m), n)
+    # Every subset's item ids, one after another; read into arrays without a tuple per form.
+    items = itertools.chain.from_iterable(itertools.combinations(range(bank.m), n))
     classes = ("absolute", "relative", "exceeding")
     hits = Counter()
-    while chunk := list(itertools.islice(subsets, _ENUMERATION_CHUNK)):
-        hits.update(count_hits(info, np.array(chunk), target_curve, epsilon, classes))
+    while (chunk := np.fromiter(itertools.islice(items, _ENUMERATION_CHUNK * n), dtype=np.intp)).size:
+        hits.update(count_hits(info, chunk.reshape(-1, n), target_curve, epsilon, classes))
     return ExactCounts(total, **hits)

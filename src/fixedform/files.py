@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -15,34 +16,55 @@ import os
 
 from .errors import FileFormatError
 
-__all__ = ["write_csv", "write_json", "read_csv", "read_json", "sha256"]
+__all__ = ["replacing", "dump_csv", "dump_json", "write_csv", "write_json", "read_csv", "read_json", "sha256"]
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    tmp = f"{path}.{os.getpid()}.tmp"
+def replacing(*paths):
+    """Yield one open temp file per path; on a clean exit each replaces its path.
+
+    Every temp file is opened before any destination is replaced, and every
+    destination after the first is checked not to be a directory (the one
+    way a later replace fails once an earlier one is done), so an output that
+    cannot be written leaves all of them as they were.
+    """
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")) for tmp in tmps]
+        for path in paths[1:]:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:
+            path = paths[tmps.index(exc.filename)]
             raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
+def dump_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def dump_json(fh, doc) -> None:
+    fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def write_csv(path, header, rows) -> None:
-    with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    with replacing(path) as (fh,):
+        dump_csv(fh, header, rows)
 
 
 def write_json(path, doc) -> None:
-    with _replacing(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    with replacing(path) as (fh,):
+        dump_json(fh, doc)
 
 
 def _read_text(path, error) -> str:

@@ -10,6 +10,12 @@ A test form relates to a target in one of three graded ways: it can meet it
 absolutely (L2 distance under a tolerance), meet it relatively (some
 downscaling lambda < 1 of the test curve fits the target), or exceed it
 outright (strictly above the target at every node).
+
+``count_hits`` counts the forms of each class among many. It first screens
+them on at most 16 of the grid's nodes: a form whose curve there already
+rules out every requested class is dropped, exactly, without its full
+curve; only the survivors get ``form_curves`` on every node and
+``fit_batch``. The screen changes no count.
 """
 
 from __future__ import annotations
@@ -47,9 +53,21 @@ DEFAULT_EPSILON = 1.225
 # What fit_batch can compute; also FitReport's fields and JSON keys, in order.
 FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
 
+# The boolean fit classes, which count_hits counts.
+_CLASSES = ("exceeding", "absolute", "relative")
+
 # Curves materialized at once by count_hits; counts do not depend on it.
 # 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
 _CURVE_BATCH = 256
+
+# Forms screened at once by count_hits; counts do not depend on it either.
+# The screen pays numpy's per-call cost once per column of a form, so at 256
+# rows the sweep ran barely faster than with no screen. At 2048 rows its peak
+# memory grew by about a quarter for little more speed.
+_SCREEN_BATCH = 1024
+
+# Nodes in the screen's subset at most; every 8th node on the default grid.
+_SCREEN_NODES = 16
 
 
 def trapezoid_weights(grid: AbilityGrid) -> np.ndarray:
@@ -128,14 +146,103 @@ def fit_batch(
     return {name: out[name] for name in fields}
 
 
+def _screen_nodes(num_points: int) -> np.ndarray:
+    """Evenly spread node indices, both ends included; every node of a small grid."""
+    return np.linspace(0, num_points - 1, min(num_points, _SCREEN_NODES)).round().astype(np.intp)
+
+
+class _Screen:
+    """An exact test, on a node subset S, of which forms can still be hits.
+
+    ``form_curves`` sums every node on its own, in the same column order, so
+    a screened value is bitwise the full curve's value at that node. Each
+    rule is written "reject iff bound > limit", so a NaN keeps the row. G is
+    the grid's node count and u the unit roundoff.
+
+    - exceeding: reject iff some node in S has curve <= target. No margin:
+      ``fit_batch`` compares the same floats.
+    - absolute: reject iff sum_S w*d**2 > eps**2 * (1 + 1e-9). Every term is
+      >= 0 and, but for one rounding, the full sum's term at that node, so
+      in any summation order the full computed sum is at least the screened
+      one times 1 - 2*G*u; a rounded sqrt < eps needs the sum < eps**2.
+    - relative: a hit needs lambda < 1, and for every lambda <= 1 the full
+      squared distance is at least the minimum over lambda <= 1 of the convex
+      quadratic q(lambda) = sum_S w*(lambda*c - t)**2 = lambda**2*a -
+      2*lambda*b + T_S (a = sum_S w*c**2, b = sum_S w*c*t, T_S = sum_S
+      w*t**2), attained at lambda^ = min(b / a, 1). Reject iff q(lambda^) >
+      eps**2 + 1e-9 * (eps**2 + sum_all w*t**2). For a hit |lambda^*c|_S <=
+      |t|_S + eps, so each of q's three terms is at most 2 * (eps**2 +
+      sum_all w*t**2), and the rounding of the sums, of lambda^ and of the
+      cancellation is a few G*u times that: far inside the margin. A row
+      that is zero on S makes lambda^ NaN and is kept.
+    """
+
+    def __init__(self, info: np.ndarray, target_curve: Curve, epsilon: float | None,
+                 classes: tuple[str, ...]) -> None:
+        nodes = _screen_nodes(target_curve.grid.num_points)
+        weights = trapezoid_weights(target_curve.grid)
+        target = target_curve.values
+        self.info = info[:, nodes]
+        self.classes = classes
+        self.target = target[nodes]
+        self.weights = weights[nodes]
+        self.weighted_target = self.weights * self.target
+        self.target_norm = float(self.weighted_target @ self.target)
+        # Row reductions over S run as matrix-vector products: numpy's row
+        # sums and any() cost several times more on rows this short.
+        self.all_nodes = np.ones(len(nodes), dtype=bool)
+        if "absolute" in classes:
+            self.absolute_limit = epsilon * epsilon * (1.0 + 1e-9)
+        if "relative" in classes:
+            full_norm = float((target * target * weights).sum())
+            self.relative_limit = epsilon * epsilon + 1e-9 * (epsilon * epsilon + full_norm)
+
+    def survivors(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of ``ids`` that S cannot rule out of every class."""
+        curves = form_curves(self.info, ids)
+        keep = np.zeros(len(ids), dtype=bool)
+        if "exceeding" in self.classes:
+            keep |= ~((curves <= self.target) @ self.all_nodes)
+        if "absolute" in self.classes:
+            diff = curves - self.target
+            diff *= diff
+            keep |= ~(diff @ self.weights > self.absolute_limit)
+        if "relative" in self.classes:
+            a = (curves * curves) @ self.weights
+            b = curves @ self.weighted_target
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = np.minimum(b / a, 1.0)
+            keep |= ~((lam * a - 2.0 * b) * lam + self.target_norm > self.relative_limit)
+        return ids[keep]
+
+
 def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
                epsilon: float | None, classes: tuple[str, ...]) -> dict[str, int]:
-    """Hits per boolean fit class in ``classes`` among the forms whose item ids are the rows of ``ids``."""
+    """Hits per fit class in ``classes`` among the forms whose item ids are the rows of ``ids``.
+
+    ``classes`` is a subset of "exceeding", "absolute" and "relative"; the
+    meeting classes need a finite ``epsilon`` > 0. Forms are screened on a
+    node subset first (see ``_Screen``); the counts are those of
+    ``fit_batch`` on every form's full curve.
+    """
+    if unknown := [name for name in classes if name not in _CLASSES]:
+        raise ParameterError(f"unknown fit class {unknown[0]!r}; expected a subset of {_CLASSES}")
+    if "absolute" in classes or "relative" in classes:
+        check_epsilon(epsilon)
+    screen = _Screen(info, target_curve, epsilon, classes)
+    screening = True
     hits = dict.fromkeys(classes, 0)
-    for lo in range(0, len(ids), _CURVE_BATCH):
-        fit = fit_batch(form_curves(info, ids[lo : lo + _CURVE_BATCH]), target_curve, epsilon, classes)
-        for name in classes:
-            hits[name] += int(fit[name].sum())
+    for lo in range(0, len(ids), _SCREEN_BATCH):
+        block = ids[lo : lo + _SCREEN_BATCH]
+        survivors = screen.survivors(block) if screening else block
+        # The screen costs about a quarter of the full gather, so once it keeps
+        # more than three quarters of a block the rest of the call skips it.
+        screening = screening and 4 * len(survivors) <= 3 * len(block)
+        for start in range(0, len(survivors), _CURVE_BATCH):
+            fit = fit_batch(form_curves(info, survivors[start : start + _CURVE_BATCH]),
+                            target_curve, epsilon, classes)
+            for name in classes:
+                hits[name] += int(fit[name].sum())
     return hits
 
 

@@ -604,6 +604,19 @@ class TestAssembleOutputs:
         assert not out.exists()
         assert not (tmp_path / "t.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("blocked", ["-o", "--trace"])
+    @pytest.mark.parametrize("bad", ["no/x", "d"])
+    def test_an_unwritable_output_leaves_neither_file(self, tmp_path, bank12_csv, scaled_target_arg,
+                                                      capsys, blocked, bad):
+        (tmp_path / "d").mkdir()
+        paths = {"-o": "t.json", "--trace": "t.csv", blocked: bad}
+        code = main(["assemble", "--bank", str(bank12_csv), "--target", scaled_target_arg,
+                     "--n", "6", "--seed", "0", "-o", str(tmp_path / paths["-o"]),
+                     "--trace", str(tmp_path / paths["--trace"])])
+        assert code == EXIT_IO
+        assert repr(str(tmp_path / bad)) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("dest", ["nodir/b.csv", "d"])
