@@ -8,140 +8,20 @@ into form counts, and assemble exceeding forms by simulated annealing.
 
 __version__ = "0.3.0"
 
-from .anneal import (
-    AnnealConfig,
-    AnnealResult,
-    acceptance_probability,
-    anneal,
-    propose_swap,
-)
-from .bank import BankGenSpec, generate_bank, load_bank, save_bank
-from .counts import (
-    ENUMERATION_BUDGET,
-    NO_ESTIMATE,
-    BinomialCount,
-    CountCurve,
-    ExactCounts,
-    binom_total,
-    enumerate_exact,
-    extrapolate_counts,
-)
-from .errors import (
-    BankFormatError,
-    BudgetError,
-    FileFormatError,
-    FixedFormError,
-    GridMismatchError,
-    ParameterError,
-    TargetDomainError,
-    UnknownItemError,
-)
-from .irt import (
-    AbilityGrid,
-    Curve,
-    ItemBank,
-    ItemParams,
-    TestForm,
-    information_matrix,
-    item_information,
-    prob_correct,
-    standard_error,
-    test_information,
-)
-from .metrics import (
-    DEFAULT_EPSILON,
-    FitReport,
-    area_under,
-    deficiency_energy,
-    fit_report,
-    is_absolute_meeting,
-    is_exceeding,
-    is_relative_meeting,
-    l2_distance,
-    lambda_of,
-    trapezoid_weights,
-)
-from .sampling import (
-    MODES,
-    EstimateResult,
-    SweepRow,
-    draw_random_test,
-    estimate_mu,
-    estimate_mu_relative,
-    read_sweep_csv,
-    sweep,
-    write_sweep_csv,
-)
-from .target import (
-    LSAT_COEFFS_DESCENDING,
-    TargetSpec,
-    builtin_lsat_target,
-    eval_target,
-    parse_target,
-    tabulate_target,
-)
+# Every module declares its public names in its own __all__; the package
+# exports their union. The module objects are bound first, because the star
+# import below rebinds ``anneal`` from its module to the function.
+from . import anneal, bank, counts, errors, irt, metrics, sampling, target
 
-__all__ = [
-    "__version__",
-    "AbilityGrid",
-    "AnnealConfig",
-    "AnnealResult",
-    "BankFormatError",
-    "BankGenSpec",
-    "BinomialCount",
-    "BudgetError",
-    "CountCurve",
-    "Curve",
-    "DEFAULT_EPSILON",
-    "ENUMERATION_BUDGET",
-    "EstimateResult",
-    "ExactCounts",
-    "FileFormatError",
-    "FitReport",
-    "FixedFormError",
-    "GridMismatchError",
-    "ItemBank",
-    "ItemParams",
-    "LSAT_COEFFS_DESCENDING",
-    "MODES",
-    "NO_ESTIMATE",
-    "ParameterError",
-    "SweepRow",
-    "TargetDomainError",
-    "TargetSpec",
-    "TestForm",
-    "UnknownItemError",
-    "acceptance_probability",
-    "anneal",
-    "area_under",
-    "binom_total",
-    "builtin_lsat_target",
-    "deficiency_energy",
-    "draw_random_test",
-    "enumerate_exact",
-    "estimate_mu",
-    "estimate_mu_relative",
-    "eval_target",
-    "extrapolate_counts",
-    "fit_report",
-    "generate_bank",
-    "information_matrix",
-    "is_absolute_meeting",
-    "is_exceeding",
-    "is_relative_meeting",
-    "item_information",
-    "l2_distance",
-    "lambda_of",
-    "load_bank",
-    "parse_target",
-    "prob_correct",
-    "propose_swap",
-    "read_sweep_csv",
-    "save_bank",
-    "standard_error",
-    "sweep",
-    "tabulate_target",
-    "test_information",
-    "trapezoid_weights",
-    "write_sweep_csv",
-]
+__all__ = list(dict.fromkeys(["__version__", *(
+    name for module in (anneal, bank, counts, errors, irt, metrics, sampling, target) for name in module.__all__
+)]))
+
+from .anneal import *  # noqa: E402,F401,F403
+from .bank import *  # noqa: E402,F401,F403
+from .counts import *  # noqa: E402,F401,F403
+from .errors import *  # noqa: E402,F401,F403
+from .irt import *  # noqa: E402,F401,F403
+from .metrics import *  # noqa: E402,F401,F403
+from .sampling import *  # noqa: E402,F401,F403
+from .target import *  # noqa: E402,F401,F403

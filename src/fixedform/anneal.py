@@ -187,7 +187,9 @@ def anneal(
             if energy == 0.0:
                 values, energy, succeeded = resync()
         if not succeeded and proposals % config.iters_per_temp == 0:
-            temperature *= config.alpha
+            # Fast cooling would underflow to 0, where the Metropolis rule is
+            # undefined; the smallest positive float refuses every uphill move.
+            temperature = max(temperature * config.alpha, math.ulp(0.0))
             values, energy, succeeded = resync()
 
     final_curve = Curve(grid, info[ids].sum(axis=0))

@@ -59,6 +59,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = _Parser(prog="fixedform", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fixedform {__version__}")
     subs = parser.add_subparsers(dest="command")
+    all_modes = ",".join(MODES)
+    modes_flag = (("--modes",), dict(default=all_modes, help=f"comma-separated subset of {all_modes}"))
 
     def new_command(name: str, help_text: str, handler, flags, *,
                     bank: bool, seed: bool, target: bool, out_default: str) -> None:
@@ -71,7 +73,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         if target:
             sub.add_argument("--target", default="lsat",
                              help="'lsat' or comma-separated polynomial coefficients, highest degree first")
-            sub.add_argument("--grid-points", type=int, default=121, help="ability grid resolution on [-3, 3]")
+            sub.add_argument("--grid-points", type=int, default=AbilityGrid.num_points,
+                             help="ability grid resolution on [-3, 3]")
             sub.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="fit tolerance")
         sub.add_argument("-o", "--out", default=out_default, help=f"output path (default {out_default})")
         sub.add_argument("--config", default=None, help="JSON file (or run manifest) supplying defaults; flags win")
@@ -79,17 +82,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             sub.add_argument(*names, **kw)
 
     new_command("gen-bank", "generate a synthetic item bank CSV", _cmd_gen_bank, (
-        (("--m",), dict(type=int, default=300, help="number of items")),
-        (("--a-min",), dict(type=float, default=1.0, help="discrimination lower bound")),
-        (("--a-max",), dict(type=float, default=3.0, help="discrimination upper bound")),
-        (("--b-min",), dict(type=float, default=-3.0, help="difficulty lower bound")),
-        (("--b-max",), dict(type=float, default=3.0, help="difficulty upper bound")),
-        (("--c",), dict(type=float, default=0.2, help="shared guessing parameter")),
+        (("--m",), dict(type=int, default=BankGenSpec.m, help="number of items")),
+        (("--a-min",), dict(type=float, default=BankGenSpec.a_range[0], help="discrimination lower bound")),
+        (("--a-max",), dict(type=float, default=BankGenSpec.a_range[1], help="discrimination upper bound")),
+        (("--b-min",), dict(type=float, default=BankGenSpec.b_range[0], help="difficulty lower bound")),
+        (("--b-max",), dict(type=float, default=BankGenSpec.b_range[1], help="difficulty upper bound")),
+        (("--c",), dict(type=float, default=BankGenSpec.c_fixed, help="shared guessing parameter")),
     ), bank=False, seed=True, target=False, out_default="bank.csv")
 
     new_command("sweep", "estimate hit ratios across a range of test lengths", _cmd_sweep, (
-        (("--modes",), dict(default="absolute,relative,exceeding",
-                            help="comma-separated subset of absolute,relative,exceeding")),
+        modes_flag,
         (("--K",), dict(type=int, default=100_000, help="draws per (length, mode)")),
         (("--K-meeting",), dict(type=int, default=None, help="override draws for the meeting modes")),
         (("--K-exceeding",), dict(type=int, default=None, help="override draws for the exceeding mode")),
@@ -101,10 +103,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     new_command("assemble", "anneal a test whose information exceeds the target", _cmd_assemble, (
         (("--n",), dict(type=int, default=None, help="test length")),
-        (("--T0",), dict(type=float, default=0.05, help="initial temperature")),
-        (("--alpha",), dict(type=float, default=0.9, help="geometric cooling factor")),
-        (("--iters-per-temp",), dict(type=int, default=1000, help="proposals per temperature step")),
-        (("--max-proposals",), dict(type=int, default=100_000, help="proposal budget")),
+        (("--T0",), dict(type=float, default=AnnealConfig.t0, help="initial temperature")),
+        (("--alpha",), dict(type=float, default=AnnealConfig.alpha, help="geometric cooling factor")),
+        (("--iters-per-temp",), dict(type=int, default=AnnealConfig.iters_per_temp,
+                                     help="proposals per temperature step")),
+        (("--max-proposals",), dict(type=int, default=AnnealConfig.max_proposals, help="proposal budget")),
         (("--greedy-init",), dict(action="store_true", help="start from the top-area items")),
         (("--trace",), dict(default=None, help="also write the accepted-energy trace CSV here")),
     ), bank=True, seed=True, target=True, out_default="test.json")
@@ -114,8 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         (("--m",), dict(type=int, default=None, help="bank size (or pass --bank)")),
         (("--bank",), dict(default=None, help="bank CSV; supplies m")),
         (("--anchor-n",), dict(type=int, default=None, help="length whose count anchors the curves")),
-        (("--modes",), dict(default="absolute,relative,exceeding",
-                            help="comma-separated subset of absolute,relative,exceeding")),
+        modes_flag,
     ), bank=False, seed=False, target=False, out_default="counts.csv")
 
     new_command("enumerate", "exactly classify every n-item form of a small bank", _cmd_enumerate, (

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .irt import Curve, ItemBank, check_length, information_matrix
-from .metrics import check_epsilon, count_hits
+from .metrics import MODES, check_epsilon, count_hits
 # perfbench/tracing.py patches these names on this module; keep them bound.
 from .irt import test_information  # noqa: F401
 from .metrics import is_absolute_meeting, is_exceeding, is_relative_meeting  # noqa: F401
@@ -164,8 +164,7 @@ def enumerate_exact(
     info = information_matrix(bank, target_curve.grid)
     # Every subset's item ids, one after another; read into arrays without a tuple per form.
     items = itertools.chain.from_iterable(itertools.combinations(range(bank.m), n))
-    classes = ("absolute", "relative", "exceeding")
     hits = Counter()
     while (chunk := np.fromiter(itertools.islice(items, _ENUMERATION_CHUNK * n), dtype=np.intp)).size:
-        hits.update(count_hits(info, chunk.reshape(-1, n), target_curve, epsilon, classes))
+        hits.update(count_hits(info, chunk.reshape(-1, n), target_curve, epsilon, MODES))
     return ExactCounts(total, **hits)

@@ -4,6 +4,17 @@ Public functions raise these instead of bare builtins so callers can tell a
 bad numeric argument from a malformed file from an infeasible request.
 """
 
+__all__ = [
+    "FixedFormError",
+    "ParameterError",
+    "GridMismatchError",
+    "TargetDomainError",
+    "UnknownItemError",
+    "FileFormatError",
+    "BankFormatError",
+    "BudgetError",
+]
+
 
 class FixedFormError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -29,6 +29,7 @@ from .errors import GridMismatchError, ParameterError
 from .irt import AbilityGrid, Curve, form_curves
 
 __all__ = [
+    "MODES",
     "DEFAULT_EPSILON",
     "FIT_FIELDS",
     "trapezoid_weights",
@@ -53,8 +54,10 @@ DEFAULT_EPSILON = 1.225
 # What fit_batch can compute; also FitReport's fields and JSON keys, in order.
 FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
 
-# The boolean fit classes, which count_hits counts.
-_CLASSES = ("exceeding", "absolute", "relative")
+# The boolean fit classes, which count_hits counts. The sampler seeds each
+# (length, class) stream by its index here, so the order is part of the
+# reproducibility contract.
+MODES = ("absolute", "relative", "exceeding")
 
 # Curves materialized at once by count_hits; counts do not depend on it.
 # 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
@@ -220,13 +223,13 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
                epsilon: float | None, classes: tuple[str, ...]) -> dict[str, int]:
     """Hits per fit class in ``classes`` among the forms whose item ids are the rows of ``ids``.
 
-    ``classes`` is a subset of "exceeding", "absolute" and "relative"; the
-    meeting classes need a finite ``epsilon`` > 0. Forms are screened on a
-    node subset first (see ``_Screen``); the counts are those of
-    ``fit_batch`` on every form's full curve.
+    ``classes`` is a subset of ``MODES``; the meeting classes need a finite
+    ``epsilon`` > 0. Forms are screened on a node subset first (see
+    ``_Screen``); the counts are those of ``fit_batch`` on every form's full
+    curve.
     """
-    if unknown := [name for name in classes if name not in _CLASSES]:
-        raise ParameterError(f"unknown fit class {unknown[0]!r}; expected a subset of {_CLASSES}")
+    if unknown := [name for name in classes if name not in MODES]:
+        raise ParameterError(f"unknown fit class {unknown[0]!r}; expected a subset of {MODES}")
     if "absolute" in classes or "relative" in classes:
         check_epsilon(epsilon)
     screen = _Screen(info, target_curve, epsilon, classes)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import FileFormatError, ParameterError
 from .files import read_csv, write_csv
 from .irt import Curve, ItemBank, TestForm, check_length, information_matrix
-from .metrics import check_epsilon, count_hits
+from .metrics import MODES, check_epsilon, count_hits
 
 __all__ = [
     "MODES",
@@ -36,8 +36,6 @@ __all__ = [
     "write_sweep_csv",
     "read_sweep_csv",
 ]
-
-MODES = ("absolute", "relative", "exceeding")
 
 # Draws per RNG substream. Fixed: changing it changes which tests a seed
 # produces, so it is part of the reproducibility contract, not a tunable.

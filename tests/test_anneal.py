@@ -243,3 +243,14 @@ class TestGoldenRuns:
         assert _summary(result) == ((4, 11), 300, 8, 0.02657205000000001, 5996.911660634405)
         assert not result.succeeded
         assert [entry[0] for entry in result.energy_trace] == [0, 1, 79, 83, 85, 117, 119, 150, 157]
+
+
+def test_fast_cooling_runs_out_the_budget_at_a_positive_temperature(bank12, lsat_curve):
+    # Cooling by 0.1 every proposal takes 0.05 below the smallest float long
+    # before the budget ends; the run must still end at the budget.
+    config = AnnealConfig(seed=1, alpha=0.1, iters_per_temp=1, max_proposals=2000)
+    result = anneal(bank12, 4, lsat_curve, config)
+    assert not result.succeeded
+    assert result.proposals == 2000
+    assert result.final_t > 0.0
+    assert all(temperature > 0.0 for _, _, temperature in result.energy_trace)

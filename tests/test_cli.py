@@ -933,3 +933,14 @@ class TestMalformedInputProperties:
         code, err = _run_isolated(argv + ["-o", "out"], input_files)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BUDGET)
         assert "Traceback" not in err
+
+
+def test_fast_cooling_exits_3_with_a_result(tmp_path, bank12_csv, capsys):
+    out = tmp_path / "test.json"
+    code = main(["assemble", "--bank", str(bank12_csv), "--n", "4", "--seed", "1", "--alpha", "0.1",
+                 "--iters-per-temp", "1", "--max-proposals", "2000", "-o", str(out)])
+    assert code == EXIT_BUDGET
+    doc = json.loads(out.read_text())
+    assert (doc["succeeded"], doc["proposals"]) == (False, 2000)
+    assert doc["final_T"] > 0.0
+    assert "budget of 2000 proposals exhausted" in capsys.readouterr().err
