@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .irt import Curve, ItemBank, TestForm, check_items, check_length, information_matrix
+from .metrics import deficiency_rows, is_exceeding, trapezoid_weights
 # perfbench/tracing.py patches test_information and deficiency_energy on this module; keep them bound.
 from .irt import test_information  # noqa: F401
-from .metrics import deficiency_energy, deficiency_rows, is_exceeding, trapezoid_weights  # noqa: F401
+from .metrics import deficiency_energy  # noqa: F401
 
 __all__ = [
     "AnnealConfig",

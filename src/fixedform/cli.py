@@ -24,14 +24,15 @@ from datetime import datetime, timezone
 from . import __version__
 from .anneal import AnnealConfig, anneal
 from .bank import BankGenSpec, generate_bank, load_bank, save_bank
-from .counts import binom_total, enumerate_exact, extrapolate_counts
+from .counts import NO_ESTIMATE, binom_total, enumerate_exact
 from .errors import FileFormatError, FixedFormError, ParameterError
 from .files import dump_csv, dump_json, read_json, replacing, sha256, write_csv, write_json
-from .irt import AbilityGrid, Curve
-# perfbench/tracing.py patches test_information on this module; keep it bound.
+from .irt import AbilityGrid, Curve, check_length
+from .metrics import DEFAULT_EPSILON, MODES, check_epsilon, check_modes, fit_report
+from .sampling import read_sweep_csv, sweep, write_sweep_csv
+# perfbench/tracing.py patches these names on this module; keep them bound.
+from .counts import extrapolate_counts  # noqa: F401
 from .irt import test_information  # noqa: F401
-from .metrics import DEFAULT_EPSILON, check_epsilon, fit_report
-from .sampling import MODES, read_sweep_csv, sweep, write_sweep_csv
 from .target import parse_target, tabulate_target
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_BUDGET"]
@@ -116,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         (("--sweep",), dict(default=None, help="sweep CSV produced by the sweep command")),
         (("--m",), dict(type=int, default=None, help="bank size (or pass --bank)")),
         (("--bank",), dict(default=None, help="bank CSV; supplies m")),
-        (("--anchor-n",), dict(type=int, default=None, help="length whose count anchors the curves")),
+        (("--anchor-n",), dict(type=int, default=None, help="ignored; accepted so that 0.3.0 command lines run")),
         modes_flag,
     ), bank=False, seed=False, target=False, out_default="counts.csv")
 
@@ -134,13 +135,7 @@ def _require(value, flag: str):
 
 
 def _parse_modes(text: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    for part in parts:
-        if part not in MODES:
-            raise ParameterError(f"unknown mode {part!r}; expected a subset of {','.join(MODES)}")
-    if not parts:
-        raise ParameterError("at least one mode is required")
-    return tuple(m for m in MODES if m in parts)
+    return check_modes(p.strip() for p in text.split(",") if p.strip())
 
 
 def _resolve_seed(args) -> int:
@@ -267,7 +262,6 @@ def _cmd_assemble(args) -> tuple[int, str]:
 
 def _cmd_counts(args) -> tuple[int, str]:
     _require(args.sweep, "--sweep")
-    _require(args.anchor_n, "--anchor-n")
     if args.m is None and args.bank is None:
         raise _UsageError("--m or --bank is required")
     if args.bank is not None:
@@ -277,36 +271,28 @@ def _cmd_counts(args) -> tuple[int, str]:
         args.m = m
     m = args.m
     modes = _parse_modes(args.modes)
-    records = read_sweep_csv(args.sweep)
-    if args.anchor_n not in [rec["n"] for rec in records]:
-        raise ParameterError(f"anchor n={args.anchor_n} is not a sweep length")
+    records = sorted(read_sweep_csv(args.sweep), key=lambda rec: rec["n"])
+    if not records:
+        raise ParameterError(f"sweep file {args.sweep} has no rows")
 
-    curves = {}
-    for mode in modes:
-        column = f"mu_{_LETTERS[mode]}"
-        mu_curve = {}
-        for rec in records:
-            if rec[column] is None:
-                raise ParameterError(
-                    f"sweep file has no {mode} estimates (empty {column} at n={rec['n']})"
-                )
-            mu_curve[rec["n"]] = rec[column]
-        anchor_mu = mu_curve[args.anchor_n]
-        if anchor_mu <= 0.0:
-            raise ParameterError(
-                f"{mode} ratio at the anchor n={args.anchor_n} is 0; "
-                "pick an anchor length with a positive estimate"
-            )
-        anchor_log10 = math.log10(anchor_mu) + binom_total(m, args.anchor_n).log10
-        curves[mode] = extrapolate_counts(args.anchor_n, anchor_log10, mu_curve, m)
-
+    # Each count is its own length's estimate: log10 N_X(n) = log10 mu_X(n) + log10 C(m, n).
     rows = []
-    for i, n in enumerate(curves[modes[0]].n_values):
-        cells = [repr(curves[mode].log10_counts[i]) if mode in curves else "" for mode in MODES]
-        flags = ";".join(f"N_{_LETTERS[mode]}:{curve.flags[i]}" for mode, curve in curves.items() if curve.flags[i])
-        rows.append([n, repr(binom_total(m, n).log10), *cells, flags])
+    for rec in records:
+        n = rec["n"]
+        check_length(n, m)
+        total = binom_total(m, n).log10
+        cells = dict.fromkeys(MODES, "")
+        for mode in modes:
+            column = f"mu_{_LETTERS[mode]}"
+            if (mu := rec[column]) is None:
+                raise ParameterError(f"sweep file has no {mode} estimates (empty {column} at n={n})")
+            if not 0.0 <= mu <= 1.0:
+                raise ParameterError(f"{column} at n={n} must lie in [0, 1], got {mu}")
+            cells[mode] = repr(math.log10(mu) + total) if mu > 0.0 else repr(math.nan)
+        flags = ";".join(f"N_{_LETTERS[mode]}:{NO_ESTIMATE}" for mode in modes if rec[f"mu_{_LETTERS[mode]}"] == 0.0)
+        rows.append([n, repr(total), *cells.values(), flags])
     write_csv(args.out, ["n", "log10_N", "log10_N_A", "log10_N_R", "log10_N_E", "flags"], rows)
-    return EXIT_OK, f"{len(records)} lengths, anchor n={args.anchor_n}"
+    return EXIT_OK, f"{len(rows)} lengths"
 
 
 def _cmd_enumerate(args) -> tuple[int, str]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "FIT_FIELDS",
     "trapezoid_weights",
     "check_epsilon",
+    "check_modes",
     "area_under",
     "l2_distance",
     "lambda_of",
@@ -90,6 +92,16 @@ def check_epsilon(epsilon: float | None) -> None:
     """Reject a missing meeting tolerance or one that is not finite and > 0."""
     if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
+def check_modes(names: Iterable[str]) -> tuple[str, ...]:
+    """The fit classes in ``names``, in ``MODES`` order; refuses an unknown name or none."""
+    names = tuple(names)
+    if unknown := [name for name in names if name not in MODES]:
+        raise ParameterError(f"unknown mode {unknown[0]!r}; expected a subset of {','.join(MODES)}")
+    if not names:
+        raise ParameterError("at least one mode is required")
+    return tuple(mode for mode in MODES if mode in names)
 
 
 def area_under(f: Curve) -> float:
@@ -228,8 +240,7 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
     ``_Screen``); the counts are those of ``fit_batch`` on every form's full
     curve.
     """
-    if unknown := [name for name in classes if name not in MODES]:
-        raise ParameterError(f"unknown fit class {unknown[0]!r}; expected a subset of {MODES}")
+    classes = check_modes(classes)
     if "absolute" in classes or "relative" in classes:
         check_epsilon(epsilon)
     screen = _Screen(info, target_curve, epsilon, classes)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import FileFormatError, ParameterError
 from .files import read_csv, write_csv
 from .irt import Curve, ItemBank, TestForm, check_length, information_matrix
-from .metrics import MODES, check_epsilon, count_hits
+from .metrics import MODES, check_epsilon, check_modes, count_hits
 
 __all__ = [
     "MODES",
@@ -98,10 +98,9 @@ def _check_estimate(bank, n, draws, mode, epsilon, seed, workers) -> float | Non
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
+    check_modes((mode,))
     if mode == "exceeding":
         return None
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
     check_epsilon(epsilon)
     return epsilon
 
@@ -190,9 +189,7 @@ def sweep(
     """
     if not n_values:
         raise ParameterError("n_values must be nonempty")
-    modes = tuple(modes)
-    if not modes:
-        raise ParameterError("at least one mode is required")
+    modes = check_modes(modes)
     draws = {mode: draws_exceeding if mode == "exceeding" else draws_meeting for mode in modes}
     for n in n_values:
         for mode in modes:

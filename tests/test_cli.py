@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -58,6 +59,12 @@ class TestGenBank:
                      "-o", str(tmp_path / "bank.csv")])
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["gen-bank", "--m", "5", "--seed", "-1", "-o", str(tmp_path / "bank.csv")])
+        assert code == EXIT_USAGE
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_large_bank(self, tmp_path):
         out = tmp_path / "bank.csv"
@@ -145,6 +152,24 @@ class TestSweepCommand:
         code = main(self.sweep_argv(bank12_csv, out, scaled_target_arg, **over))
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    def test_an_empty_mode_list_is_a_usage_error(self, tmp_path, bank12_csv, scaled_target_arg, capsys):
+        code = main(self.sweep_argv(bank12_csv, tmp_path / "s.csv", scaled_target_arg, **{"--modes": ","}))
+        assert code == EXIT_USAGE
+        assert "at least one mode is required" in capsys.readouterr().err
+
+    def test_a_zero_length_step_is_a_usage_error(self, tmp_path, bank12_csv, scaled_target_arg, capsys):
+        code = main(self.sweep_argv(bank12_csv, tmp_path / "s.csv", scaled_target_arg, **{"--n-step": "0"}))
+        assert code == EXIT_USAGE
+        assert "--n-step must be >= 1" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_an_object_is_a_usage_error(self, tmp_path, bank12_csv, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[3, 4]\n")
+        code = main(["sweep", "--bank", str(bank12_csv), "--config", str(config),
+                     "-o", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_missing_bank_is_an_io_error(self, tmp_path, scaled_target_arg, capsys):
         code = main(self.sweep_argv(tmp_path / "ghost.csv", tmp_path / "s.csv",
@@ -305,21 +330,24 @@ class TestCountsCommand:
         assert code == EXIT_USAGE
         assert "--m or --bank" in capsys.readouterr().err
 
-    def test_zero_anchor_ratio_is_a_usage_error(self, tmp_path, capsys):
-        sweep_csv = tmp_path / "sweep.csv"
-        write_unit_sweep(sweep_csv, [2, 3], m=12, zero_at=(2,))
-        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12",
-                     "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
-        assert code == EXIT_USAGE
-        assert "positive estimate" in capsys.readouterr().err
+    def counts_bytes(self, tmp_path, sweep_csv, *extra):
+        out = tmp_path / "c.csv"
+        assert main(["counts", "--sweep", str(sweep_csv), "--m", "12", *extra, "-o", str(out)]) == EXIT_OK
+        return out.read_bytes()
 
-    def test_anchor_outside_the_sweep_is_a_usage_error(self, tmp_path, capsys):
+    def test_anchor_at_a_zero_ratio_changes_nothing(self, tmp_path):
         sweep_csv = tmp_path / "sweep.csv"
-        write_unit_sweep(sweep_csv, [2, 3], m=12)
-        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12",
-                     "--anchor-n", "7", "-o", str(tmp_path / "c.csv")])
-        assert code == EXIT_USAGE
-        assert "not a sweep length" in capsys.readouterr().err
+        write_unit_sweep(sweep_csv, [2, 3], m=12, mu=0.25, zero_at=(2,))
+        unanchored = self.counts_bytes(tmp_path, sweep_csv)
+        assert self.counts_bytes(tmp_path, sweep_csv, "--anchor-n", "2") == unanchored
+        assert read_manifest(tmp_path / "c.csv")["parameters"]["anchor_n"] == 2
+
+    def test_anchor_outside_the_sweep_changes_nothing(self, tmp_path):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12, mu=0.25)
+        unanchored = self.counts_bytes(tmp_path, sweep_csv)
+        assert read_manifest(tmp_path / "c.csv")["parameters"]["anchor_n"] is None
+        assert self.counts_bytes(tmp_path, sweep_csv, "--anchor-n", "7") == unanchored
 
     def test_missing_sweep_file_is_an_io_error(self, tmp_path):
         code = main(["counts", "--sweep", str(tmp_path / "ghost.csv"), "--m", "12",
@@ -380,6 +408,87 @@ class TestCountsCommand:
                      "-o", str(tmp_path / "c.csv")])
         assert code == EXIT_USAGE
         assert "no absolute estimates" in capsys.readouterr().err
+
+
+    def test_every_cell_is_its_own_ratio_times_the_binomial(self, tmp_path):
+        # Ratios log-uniform down to 1e-12 and a few zeros, rows out of order.
+        rng = np.random.default_rng(16)
+        for m in (12, 40, 300):
+            lengths = rng.permutation(np.arange(1, m + 1))[:30].tolist()
+            mu = {(n, col): 0.0 if rng.random() < 0.1 else float(10.0 ** rng.uniform(-12.0, 0.0))
+                  for n in lengths for col in ("A", "R", "E")}
+            sweep_csv = tmp_path / f"sweep{m}.csv"
+            sweep_csv.write_text("\n".join([",".join(SWEEP_HEADER)] + [
+                f"{n},{mu[n, 'A']!r},0.0,{mu[n, 'R']!r},0.0,{mu[n, 'E']!r},0.0,100,100,0" for n in lengths
+            ]) + "\n")
+            out = tmp_path / f"counts{m}.csv"
+            assert main(["counts", "--sweep", str(sweep_csv), "--m", str(m), "-o", str(out)]) == EXIT_OK
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert [int(row[0]) for row in rows] == sorted(lengths)
+            for row in rows:
+                n = int(row[0])
+                total = binom_total(m, n).log10
+                assert row[1] == repr(total)
+                for cell, col in zip(row[2:5], ("A", "R", "E")):
+                    assert cell == ("nan" if mu[n, col] == 0.0 else repr(math.log10(mu[n, col]) + total))
+                assert row[5] == ";".join(f"N_{col}:no-estimate" for col in ("A", "R", "E") if mu[n, col] == 0.0)
+
+    def test_counts_does_not_extrapolate(self, tmp_path, monkeypatch):
+        def no_extrapolation(*args, **kwargs):
+            raise AssertionError("counts called extrapolate_counts")
+
+        monkeypatch.setattr("fixedform.cli.extrapolate_counts", no_extrapolation)
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12, mu=0.25)
+        assert main(["counts", "--sweep", str(sweep_csv), "--m", "12", "--anchor-n", "2",
+                     "-o", str(tmp_path / "c.csv")]) == EXIT_OK
+
+    def test_classes_with_no_hits_anywhere_are_flagged_not_refused(self, tmp_path):
+        # The meeting classes of a uniform sweep on a large bank: 0 hits at every length.
+        sweep_csv = tmp_path / "sweep.csv"
+        lines = [",".join(SWEEP_HEADER)]
+        for n, mu_e in ((30, 0.0), (50, 0.0), (70, 0.01), (90, 0.5), (110, 0.98)):
+            lines.append(f"{n},0.0,0.0,0.0,0.0,{mu_e!r},0.0,100,100,0")
+        sweep_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert main(["counts", "--sweep", str(sweep_csv), "--m", "300", "-o", str(out)]) == EXIT_OK
+        flags = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+        meeting = "N_A:no-estimate;N_R:no-estimate"
+        assert flags == [f"{meeting};N_E:no-estimate"] * 2 + [meeting] * 3
+
+    def test_a_sweep_without_rows_is_a_usage_error(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [], m=12)
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_USAGE
+        assert "has no rows" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_a_length_outside_the_bank_is_a_usage_error(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 13], m=12)
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "12", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_USAGE
+        assert "test length must lie in [1, 12], got 13" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_a_0_3_0_manifest_replays(self, tmp_path):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3, 4], m=12, mu=0.25, zero_at=(3,))
+        direct = tmp_path / "direct.csv"
+        assert main(["counts", "--sweep", str(sweep_csv), "--m", "12", "-o", str(direct)]) == EXIT_OK
+        manifest = tmp_path / "old.json"
+        manifest.write_text(json.dumps({
+            "command": "counts",
+            "parameters": {"anchor_n": 2, "bank": None, "m": 12, "modes": "absolute,relative,exceeding",
+                           "out": "counts.csv", "sweep": str(sweep_csv)},
+            "sweep_sha256": hashlib.sha256(sweep_csv.read_bytes()).hexdigest(),
+            "tool_version": "0.3.0",
+            "timestamp": "2026-01-01T00:00:00+00:00",
+        }))
+        replay = tmp_path / "replay.csv"
+        assert main(["counts", "--config", str(manifest), "-o", str(replay)]) == EXIT_OK
+        assert replay.read_bytes() == direct.read_bytes()
 
 
 class TestEnumerateCommand:

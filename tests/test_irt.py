@@ -111,6 +111,10 @@ class TestItemInformation:
     def test_far_tail_underflows_to_zero(self):
         assert item_information(ItemParams(a=3.0, b=3.0, c=0.2), -800.0) == 0.0
 
+    def test_nan_ability_is_refused(self):
+        with pytest.raises(ParameterError, match="theta must be finite"):
+            item_information(ItemParams(a=1.0, b=0.0, c=0.2), math.nan)
+
 
 class TestBankAndForm:
     def test_bank_ids_are_positions(self):
@@ -125,6 +129,9 @@ class TestBankAndForm:
     def test_bank_equality_by_items(self):
         items = (ItemParams(1.0, 0.0), ItemParams(2.0, 1.0))
         assert ItemBank(items) == ItemBank(items)
+
+    def test_bank_never_equals_another_type(self):
+        assert (ItemBank((ItemParams(1.0, 0.0),)) == 3) is False
 
     def test_form_sorted_unique(self):
         form = TestForm.from_ids([5, 1, 3])
