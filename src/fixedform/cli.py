@@ -2,9 +2,10 @@
 
 Commands: gen-bank, sweep, assemble, counts, enumerate. A command
 validates its inputs, computes, writes its primary output and returns
-``(exit code, detail)``. ``main`` then records the run manifest at
-``<out>.manifest.json`` (the resolved parameters plus fingerprints of the
-input files) and reports the run; rerunning a command with
+``(exit code, detail, facts)``. ``main`` then records the run manifest at
+``<out>.manifest.json`` (the resolved parameters, fingerprints of the
+input files and the command's facts, such as a sweep's bank size) and
+reports the run; rerunning a command with
 ``--config <manifest>`` reproduces the primary output byte for byte.
 
 Exit codes: 0 success, 1 usage or domain error, 2 I/O or parse error,
@@ -171,9 +172,9 @@ def _check_outputs(args) -> None:
             seen[real] = f"{flag} {path}"
 
 
-def _write_manifest(args) -> None:
+def _write_manifest(args, facts: dict) -> None:
     params = _parameters(args)
-    doc = {"command": args.command, "parameters": params}
+    doc = {"command": args.command, "parameters": params, **facts}
     bank = args.out if args.command == "gen-bank" else params.get("bank")
     if bank is not None:
         doc["bank_sha256"] = sha256(bank)
@@ -186,7 +187,7 @@ def _write_manifest(args) -> None:
     write_json(f"{args.out}.manifest.json", doc)
 
 
-def _cmd_gen_bank(args) -> tuple[int, str]:
+def _cmd_gen_bank(args) -> tuple[int, str, dict]:
     _resolve_seed(args)
     spec = BankGenSpec(
         m=args.m,
@@ -196,10 +197,10 @@ def _cmd_gen_bank(args) -> tuple[int, str]:
         seed=args.seed,
     )
     save_bank(generate_bank(spec), args.out)
-    return EXIT_OK, f"{args.m} items"
+    return EXIT_OK, f"{args.m} items", {}
 
 
-def _cmd_sweep(args) -> tuple[int, str]:
+def _cmd_sweep(args) -> tuple[int, str, dict]:
     _resolve_seed(args)
     _require(args.n_from, "--n-from")
     _require(args.n_to, "--n-to")
@@ -227,10 +228,10 @@ def _cmd_sweep(args) -> tuple[int, str]:
         workers=args.workers,
     )
     write_sweep_csv(rows, args.out)
-    return EXIT_OK, f"{len(rows)} lengths, modes {','.join(modes)}"
+    return EXIT_OK, f"{len(rows)} lengths, modes {','.join(modes)}", {"bank_m": bank.m}
 
 
-def _cmd_assemble(args) -> tuple[int, str]:
+def _cmd_assemble(args) -> tuple[int, str, dict]:
     _resolve_seed(args)
     _require(args.n, "--n")
     curve = _target_curve(args)
@@ -254,13 +255,24 @@ def _cmd_assemble(args) -> tuple[int, str]:
             dump_csv(handles[1], ["proposal", "energy", "temperature"], rows)
         dump_json(handles[0], doc)
     if result.succeeded:
-        return EXIT_OK, f"exceeding test found after {result.proposals} proposals"
+        return EXIT_OK, f"exceeding test found after {result.proposals} proposals", {}
     return EXIT_BUDGET, (
         f"budget of {args.max_proposals} proposals exhausted, residual energy {result.energy:.6g}"
-    )
+    ), {}
 
 
-def _cmd_counts(args) -> tuple[int, str]:
+def _check_sweep_bank(sweep_path, m: int) -> None:
+    """Refuse a bank size that contradicts the one the sweep's manifest records, if it has one."""
+    manifest = f"{sweep_path}.manifest.json"
+    if not os.path.exists(manifest):
+        return
+    doc = read_json(manifest)
+    recorded = doc.get("bank_m") if isinstance(doc, dict) else None
+    if recorded is not None and recorded != m:
+        raise ParameterError(f"bank size {m} contradicts the bank size {recorded} recorded in {manifest}")
+
+
+def _cmd_counts(args) -> tuple[int, str, dict]:
     _require(args.sweep, "--sweep")
     if args.m is None and args.bank is None:
         raise _UsageError("--m or --bank is required")
@@ -270,6 +282,7 @@ def _cmd_counts(args) -> tuple[int, str]:
             raise ParameterError(f"--m {args.m} contradicts the bank size {m}")
         args.m = m
     m = args.m
+    _check_sweep_bank(args.sweep, m)
     modes = _parse_modes(args.modes)
     records = sorted(read_sweep_csv(args.sweep), key=lambda rec: rec["n"])
     if not records:
@@ -292,10 +305,10 @@ def _cmd_counts(args) -> tuple[int, str]:
         flags = ";".join(f"N_{_LETTERS[mode]}:{NO_ESTIMATE}" for mode in modes if rec[f"mu_{_LETTERS[mode]}"] == 0.0)
         rows.append([n, repr(total), *cells.values(), flags])
     write_csv(args.out, ["n", "log10_N", "log10_N_A", "log10_N_R", "log10_N_E", "flags"], rows)
-    return EXIT_OK, f"{len(rows)} lengths"
+    return EXIT_OK, f"{len(rows)} lengths", {}
 
 
-def _cmd_enumerate(args) -> tuple[int, str]:
+def _cmd_enumerate(args) -> tuple[int, str, dict]:
     _require(args.n, "--n")
     bank = load_bank(_require(args.bank, "--bank"))
     counts = enumerate_exact(bank, args.n, _target_curve(args), args.epsilon)
@@ -309,7 +322,7 @@ def _cmd_enumerate(args) -> tuple[int, str]:
         "N_E": counts.exceeding,
     }
     write_json(args.out, doc)
-    return EXIT_OK, f"N={counts.total}"
+    return EXIT_OK, f"N={counts.total}", {}
 
 
 def _load_config(path, command: str, defaults: dict) -> dict:
@@ -359,8 +372,8 @@ def main(argv=None) -> int:
             sub.set_defaults(**_load_config(args.config, args.command, defaults))
             args = parser.parse_args(arg_list)
         _check_outputs(args)
-        code, detail = args.func(args)
-        _write_manifest(args)
+        code, detail, facts = args.func(args)
+        _write_manifest(args, facts)
     except (FileFormatError, OSError) as exc:
         print(f"fixedform: error: {exc}", file=sys.stderr)
         return EXIT_IO

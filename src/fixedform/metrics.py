@@ -56,9 +56,8 @@ DEFAULT_EPSILON = 1.225
 # What fit_batch can compute; also FitReport's fields and JSON keys, in order.
 FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
 
-# The boolean fit classes, which count_hits counts. The sampler seeds each
-# (length, class) stream by its index here, so the order is part of the
-# reproducibility contract.
+# The boolean fit classes, which count_hits counts, in the order every
+# command and file lists them.
 MODES = ("absolute", "relative", "exceeding")
 
 # Curves materialized at once by count_hits; counts do not depend on it.

@@ -4,17 +4,23 @@ The estimators draw K independent uniformly random n-item forms and count
 how many satisfy a fit predicate; the hit fraction estimates the share of
 all C(m, n) forms in that class.
 
-Reproducibility contract: K is split into fixed-size chunks and chunk i is
-generated by its own PCG64 stream seeded from SeedSequence((seed, i)). Hit
-counts add up commutatively, so the result is identical for any worker
-count and any scheduling, and depends only on (bank, n, K, mode, epsilon,
-seed).
+Reproducibility contract: forms are drawn in whole chunks of 8192, and
+chunk i is generated by its own PCG64 stream seeded from
+SeedSequence((seed, i)). A class estimated from K draws counts its hits
+on the first K forms of chunks 0, 1, ...; the last chunk is drawn whole
+even when K stops inside it, so a seed's sequence of forms is the same
+whatever K is. Hit counts add up commutatively, so the result is
+identical for any worker count and any scheduling, and depends only on
+(bank, n, K, mode, epsilon, seed). A sweep derives one seed per length
+from SeedSequence((master seed, n)), draws that length's chunks once and
+counts every requested class on them, each on its own first K forms.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,6 +111,73 @@ def _check_estimate(bank, n, draws, mode, epsilon, seed, workers) -> float | Non
     return epsilon
 
 
+def _chunk_count(draws: int) -> int:
+    return -(-draws // _CHUNK)
+
+
+@contextmanager
+def _pool(workers: int, chunks: int):
+    """A thread pool of ``min(workers, chunks)`` threads, or None where that is one."""
+    workers = min(workers, chunks)
+    if workers == 1:
+        yield None
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield pool
+
+
+def _length_hits(
+    info: np.ndarray,
+    n: int,
+    draws_by_mode: dict[str, int],
+    target_curve: Curve,
+    epsilon: float | None,
+    seed: int,
+    pool: ThreadPoolExecutor | None,
+) -> dict[str, int]:
+    """Hits of each mode among the first ``draws_by_mode[mode]`` n-item forms of ``seed``'s chunks.
+
+    Chunk i is always drawn whole from SeedSequence((seed, i)), whatever the
+    modes and draw counts. Each segment of a chunk is counted, in one
+    ``count_hits`` call, for every mode whose draws cover it.
+    """
+    m = info.shape[0]
+
+    def chunk_hits(i: int) -> dict[str, int]:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        ids = _sample_batch(m, n, _CHUNK, rng)
+        # Rows of this chunk each mode counts; the cuts split it where a mode stops.
+        rows = {mode: min(max(draws - i * _CHUNK, 0), _CHUNK) for mode, draws in draws_by_mode.items()}
+        cuts = sorted({0, *rows.values()})
+        hits = dict.fromkeys(draws_by_mode, 0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            modes = tuple(mode for mode in draws_by_mode if rows[mode] >= hi)
+            for mode, count in count_hits(info, ids[lo:hi], target_curve, epsilon, modes).items():
+                hits[mode] += count
+        return hits
+
+    chunks = range(_chunk_count(max(draws_by_mode.values())))
+    hits = dict.fromkeys(draws_by_mode, 0)
+    for chunk in (map if pool is None else pool.map)(chunk_hits, chunks):
+        for mode, count in chunk.items():
+            hits[mode] += count
+    return hits
+
+
+def _estimate(n: int, draws: int, hits: int, mode: str, epsilon: float | None, seed: int) -> EstimateResult:
+    mu = hits / draws
+    return EstimateResult(
+        n=n,
+        draws=draws,
+        hits=hits,
+        mu_hat=mu,
+        std_err=math.sqrt(mu * (1.0 - mu) / draws),
+        mode=mode,
+        epsilon=epsilon,
+        seed=seed,
+    )
+
+
 def estimate_mu(
     bank: ItemBank,
     n: int,
@@ -125,30 +198,9 @@ def estimate_mu(
     """
     epsilon = _check_estimate(bank, n, draws, mode, epsilon, seed, workers)
     info = information_matrix(bank, target_curve.grid)
-
-    def chunk_hits(start: int) -> int:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start // _CHUNK)))
-        ids = _sample_batch(bank.m, n, min(_CHUNK, draws - start), rng)
-        return count_hits(info, ids, target_curve, epsilon, (mode,))[mode]
-
-    starts = range(0, draws, _CHUNK)
-    workers = min(workers, len(starts))
-    if workers == 1:
-        hits = sum(map(chunk_hits, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(chunk_hits, starts))
-    mu = hits / draws
-    return EstimateResult(
-        n=n,
-        draws=draws,
-        hits=hits,
-        mu_hat=mu,
-        std_err=math.sqrt(mu * (1.0 - mu) / draws),
-        mode=mode,
-        epsilon=epsilon,
-        seed=seed,
-    )
+    with _pool(workers, _chunk_count(draws)) as pool:
+        hits = _length_hits(info, n, {mode: draws}, target_curve, epsilon, seed, pool)[mode]
+    return _estimate(n, draws, hits, mode, epsilon, seed)
 
 
 def estimate_mu_relative(
@@ -164,10 +216,9 @@ def estimate_mu_relative(
     return estimate_mu(bank, n, draws, "relative", target_curve, epsilon, seed, workers)
 
 
-def _subseed(master_seed: int, n: int, mode: str) -> int:
-    """Deterministic per-(length, mode) seed derived from the master seed."""
-    ss = np.random.SeedSequence((master_seed, n, MODES.index(mode)))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _subseed(master_seed: int, n: int) -> int:
+    """Deterministic per-length seed derived from the master seed."""
+    return int(np.random.SeedSequence((master_seed, n)).generate_state(1, np.uint64)[0])
 
 
 def sweep(
@@ -183,28 +234,34 @@ def sweep(
 ) -> list[SweepRow]:
     """Run the selected estimators at every test length in ``n_values``.
 
-    Each (length, mode) pair gets its own derived seed, so adding or
+    Each length gets its own derived seed, and its forms are drawn once and
+    counted for every selected mode, each mode on the first
+    ``draws_exceeding`` or ``draws_meeting`` of them. A mode's estimate at
+    a length is the ``estimate_mu`` estimate at that seed, so adding or
     removing lengths or modes never perturbs the others' estimates. Every
-    argument is checked before the first estimate runs.
+    argument is checked before the first estimate runs; the information
+    matrix and the thread pool are built once per sweep.
     """
     if not n_values:
         raise ParameterError("n_values must be nonempty")
     modes = check_modes(modes)
     draws = {mode: draws_exceeding if mode == "exceeding" else draws_meeting for mode in modes}
+    epsilons = {}
     for n in n_values:
         for mode in modes:
-            _check_estimate(bank, n, draws[mode], mode, epsilon, seed, workers)
+            epsilons[mode] = _check_estimate(bank, n, draws[mode], mode, epsilon, seed, workers)
     if len(set(n_values)) < len(n_values):
         raise ParameterError(f"test lengths must not repeat, got {list(n_values)}")
 
+    info = information_matrix(bank, target_curve.grid)
     rows = []
-    for n in n_values:
-        estimates = {
-            mode: estimate_mu(bank, n, draws[mode], mode, target_curve, epsilon=epsilon,
-                              seed=_subseed(seed, n, mode), workers=workers)
-            for mode in modes
-        }
-        rows.append(SweepRow(n=n, seed=seed, **estimates))
+    with _pool(workers, _chunk_count(max(draws.values()))) as pool:
+        for n in n_values:
+            subseed = _subseed(seed, n)
+            hits = _length_hits(info, n, draws, target_curve, epsilon, subseed, pool)
+            estimates = {mode: _estimate(n, draws[mode], hits[mode], mode, epsilons[mode], subseed)
+                         for mode in modes}
+            rows.append(SweepRow(n=n, seed=seed, **estimates))
     return rows
 
 

@@ -33,9 +33,9 @@ from fixedform import (
 )
 from fixedform.cli import EXIT_OK, main
 
-# Master seed for the large Monte Carlo runs below. Every (length, mode)
-# pair derives its own substream from it, so the individual estimates are
-# independent and stable.
+# Master seed for the large Monte Carlo runs below. Every length derives its
+# own substream from it, which all of that length's modes count on, so the
+# estimates at different lengths are independent and every one is stable.
 ACCEPT_SEED = 101
 
 DEEP_LENGTHS = [45, 48, 50, 53, 55, 58, 60, 65, 70]

@@ -96,6 +96,7 @@ class TestSweepCommand:
         manifest = read_manifest(out)
         assert manifest["parameters"]["K"] == 400
         assert len(manifest["target_coefficients_descending"]) == 7
+        assert manifest["bank_m"] == 12
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path, bank12_csv, scaled_target_arg):
         first = tmp_path / "first.csv"
@@ -321,6 +322,31 @@ class TestCountsCommand:
                      "--m", "99", "--anchor-n", "2", "-o", str(tmp_path / "c.csv")])
         assert code == EXIT_USAGE
         assert "contradicts" in capsys.readouterr().err
+
+    def test_a_bank_size_contradicting_the_sweeps_manifest_is_refused(
+        self, tmp_path, bank300_csv, bank12_csv, capsys
+    ):
+        # A bank300 sweep read as a 120-item bank would give counts for the wrong bank.
+        sweep_csv = tmp_path / "s.csv"
+        assert main(["sweep", "--bank", str(bank300_csv), "--seed", "7", "--n-from", "30", "--n-to", "30",
+                     "--K", "100", "--modes", "exceeding", "-o", str(sweep_csv)]) == EXIT_OK
+        capsys.readouterr()
+        for size in (["--m", "120"], ["--bank", str(bank12_csv)]):
+            code = main(["counts", "--sweep", str(sweep_csv), *size, "--modes", "exceeding",
+                         "-o", str(tmp_path / "c.csv")])
+            assert code == EXIT_USAGE
+            assert "contradicts the bank size 300 recorded in" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.manifest.json"]
+        code = main(["counts", "--sweep", str(sweep_csv), "--bank", str(bank300_csv),
+                     "--modes", "exceeding", "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_OK
+
+    def test_a_sweep_manifest_without_a_bank_size_checks_nothing(self, tmp_path):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12)
+        without = self.counts_bytes(tmp_path, sweep_csv)
+        (tmp_path / "sweep.csv.manifest.json").write_text('{"command": "sweep", "parameters": {}}')
+        assert self.counts_bytes(tmp_path, sweep_csv) == without
 
     def test_m_or_bank_is_required(self, tmp_path, capsys):
         sweep_csv = tmp_path / "sweep.csv"

@@ -14,7 +14,10 @@ from fixedform import (
     enumerate_exact,
     estimate_mu,
     estimate_mu_relative,
+    fit_batch,
+    form_curves,
     generate_bank,
+    information_matrix,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
@@ -138,6 +141,12 @@ class TestWorkers:
         estimate_mu(bank12, 4, 100, "exceeding", scaled_curve_12, seed=4, workers=64)
         assert pool_sizes == [3, 2]
         assert capped == serial
+        # A sweep opens at most one pool for all its lengths, capped at one length's chunks.
+        args = (bank12, [3, 4, 5], scaled_curve_12, 1.0, 4, 2 * _CHUNK + 5, 100)
+        serial_rows = sweep(*args)
+        assert pool_sizes == [3, 2]
+        assert sweep(*args, workers=64) == serial_rows
+        assert pool_sizes == [3, 2, 3]
 
 
 class TestEstimateValidation:
@@ -319,14 +328,102 @@ class TestSweep:
         self, bank12, scaled_curve_12, monkeypatch, bad, match
     ):
         started = []
-        monkeypatch.setattr(sampling, "estimate_mu", lambda *a, **kw: started.append(a[1:4]))
+
+        def length_hits(info, n, draws_by_mode, *args):
+            started.append(n)
+            return dict.fromkeys(draws_by_mode, 0)
+
+        monkeypatch.setattr(sampling, "_length_hits", length_hits)
         args = dict(epsilon=1.0, seed=0, draws_exceeding=100, draws_meeting=100, modes=MODES)
         with pytest.raises(ParameterError, match=match):
             sweep(bank12, [3, 4], scaled_curve_12, **{**args, **bad})
         assert started == []
-        # The stand-in does record: valid arguments start one estimate per (length, mode).
+        # The stand-in does record: valid arguments count every mode once per length.
         sweep(bank12, [3, 4], scaled_curve_12, **args)
-        assert len(started) == 6
+        assert started == [3, 4]
+
+
+class TestSharedDraws:
+    """A sweep draws each length's chunks once and counts every mode on them.
+
+    Each mode counts its hits on the first K_mode draws of whole 8192-draw
+    chunks, so a mode's cells depend on (bank, n, target, epsilon, K_mode,
+    seed) alone: not on the other modes, the other lengths or the workers.
+    """
+
+    K_MEETING = _CHUNK + 137  # one whole chunk and a prefix of the next
+    K_EXCEEDING = 3 * _CHUNK
+    LENGTHS = [3, 4, 5]
+
+    def run(self, bank12, scaled_curve_12, lengths=None, modes=MODES, **kw):
+        kw = dict(dict(draws_exceeding=self.K_EXCEEDING, draws_meeting=self.K_MEETING), **kw)
+        return sweep(bank12, lengths or self.LENGTHS, scaled_curve_12, DEFAULT_EPSILON,
+                     seed=13, modes=modes, **kw)
+
+    @pytest.fixture()
+    def full(self, bank12, scaled_curve_12):
+        return self.run(bank12, scaled_curve_12)
+
+    @pytest.mark.parametrize("lengths", [[4], [5, 3], [3]])
+    @pytest.mark.parametrize("modes", [("absolute",), ("relative",), ("exceeding",),
+                                       ("absolute", "exceeding"), MODES])
+    def test_partial_sweeps_reproduce_the_full_sweeps_cells(
+        self, bank12, scaled_curve_12, full, lengths, modes
+    ):
+        by_n = {row.n: row for row in full}
+        for row in self.run(bank12, scaled_curve_12, lengths, modes):
+            for mode in MODES:
+                expected = getattr(by_n[row.n], mode) if mode in modes else None
+                assert getattr(row, mode) == expected
+
+    def test_a_modes_cells_do_not_depend_on_the_other_modes_draws(
+        self, bank12, scaled_curve_12, full
+    ):
+        fewer_meeting = self.run(bank12, scaled_curve_12, draws_meeting=50)
+        more_meeting = self.run(bank12, scaled_curve_12, draws_meeting=4 * _CHUNK)
+        shorter = self.run(bank12, scaled_curve_12, draws_exceeding=7)
+        for rows in zip(full, fewer_meeting, more_meeting, shorter):
+            assert rows[0].exceeding == rows[1].exceeding == rows[2].exceeding
+            assert rows[0].absolute == rows[3].absolute and rows[0].relative == rows[3].relative
+            assert rows[1].absolute.draws == 50 and rows[3].exceeding.draws == 7
+
+    def test_a_cell_is_estimate_mu_at_the_lengths_seed(self, bank12, scaled_curve_12, full):
+        for row in full:
+            for mode in MODES:
+                cell = getattr(row, mode)
+                assert cell == estimate_mu(bank12, row.n, cell.draws, mode, scaled_curve_12,
+                                           epsilon=DEFAULT_EPSILON, seed=cell.seed)
+
+    def test_worker_counts_give_identical_rows(self, bank12, scaled_curve_12, full):
+        for workers in (3, 8):
+            assert self.run(bank12, scaled_curve_12, workers=workers) == full
+
+    def test_hits_match_an_unscreened_recount_of_the_regenerated_chunks(
+        self, bank12, scaled_curve_12, full
+    ):
+        info = information_matrix(bank12, scaled_curve_12.grid)
+        for row in full:
+            # The length's subseed, then whole chunks from SeedSequence((subseed, i)).
+            subseed = int(np.random.SeedSequence((13, row.n)).generate_state(1, np.uint64)[0])
+            rngs = (np.random.default_rng(np.random.SeedSequence((subseed, i))) for i in range(3))
+            forms = np.concatenate([_sample_batch(bank12.m, row.n, _CHUNK, rng) for rng in rngs])
+            for mode in MODES:
+                cell = getattr(row, mode)
+                fit = fit_batch(form_curves(info, forms[: cell.draws]), scaled_curve_12,
+                                DEFAULT_EPSILON, (mode,))
+                assert cell.seed == subseed
+                assert cell.hits == int(fit[mode].sum()) > 0
+
+    def test_the_information_matrix_is_built_once(self, bank12, scaled_curve_12, monkeypatch):
+        built = []
+
+        def information(bank, grid):
+            built.append(bank)
+            return information_matrix(bank, grid)
+
+        monkeypatch.setattr(sampling, "information_matrix", information)
+        self.run(bank12, scaled_curve_12, workers=2)
+        assert built == [bank12]
 
 
 class TestSweepCSV:
