@@ -215,7 +215,7 @@ def _cmd_sweep(args) -> tuple[int, str, dict]:
     modes = _parse_modes(args.modes)
     k_meeting = args.K if args.K_meeting is None else args.K_meeting
     k_exceeding = args.K if args.K_exceeding is None else args.K_exceeding
-    n_values = list(range(args.n_from, args.n_to + 1, args.n_step))
+    n_values = range(args.n_from, args.n_to + 1, args.n_step)
     rows = sweep(
         bank,
         n_values,

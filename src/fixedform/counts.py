@@ -2,9 +2,11 @@
 
 A bank of m items holds C(m, n) distinct n-item forms, which overflows any
 fixed-width integer long before realistic bank sizes (C(300, 150) is around
-1e89), so counts are carried as log10 values. Measured hit ratios, anchored
-by one known count, extrapolate to whole count-versus-length curves through
-the closed form, with each log10 C(m, n) taken from :func:`binom_total`:
+1e89), so counts are carried as log10 values, each log10 C(m, n) taken from
+:func:`binom_total`. Since 0.4.0 ``fixedform counts`` writes each length's
+count from its own measured ratio, log10 mu(n) + log10 C(m, n).
+:func:`extrapolate_counts` is the anchored variant, used by acceptance
+criteria 03 and 05: one known count at n0 sets the whole curve,
 
     log10 count(n) = log10 count(n0) - log10 mu(n0) - log10 C(m, n0)
                      + log10 mu(n) + log10 C(m, n)

@@ -13,12 +13,14 @@ whatever K is. Hit counts add up commutatively, so the result is
 identical for any worker count and any scheduling, and depends only on
 (bank, n, K, mode, epsilon, seed). A sweep derives one seed per length
 from SeedSequence((master seed, n)), draws that length's chunks once and
-counts every requested class on them, each on its own first K forms.
+counts every requested class on them, each on its own first K forms;
+``estimate_mu`` is the one-length, one-class case of that path.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,20 +97,25 @@ def _sample_batch(m: int, n: int, size: int, rng: np.random.Generator) -> np.nda
     return ids[:n].T
 
 
-def _check_estimate(bank, n, draws, mode, epsilon, seed, workers) -> float | None:
-    # estimate_mu's argument checks; returns the epsilon the mode uses.
-    check_length(n, bank.m)
-    if draws < 1:
-        raise ParameterError(f"draw count must be >= 1, got {draws}")
+def _check_request(bank: ItemBank, lengths: Sequence[int], draws_by_mode: dict[str, int],
+                   epsilon: float | None, seed: int, workers: int) -> None:
+    """Refuse a bad estimation request before any work: the one check of every entry point."""
+    if not lengths:
+        raise ParameterError("n_values must be nonempty")
+    # One by one, so a range far past the bank stops at m + 1 without being materialized.
+    for n in lengths:
+        check_length(n, bank.m)
+    if len(set(lengths)) < len(lengths):
+        raise ParameterError(f"test lengths must not repeat, got {list(lengths)}")
+    for draws in draws_by_mode.values():
+        if draws < 1:
+            raise ParameterError(f"draw count must be >= 1, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
-    check_modes((mode,))
-    if mode == "exceeding":
-        return None
-    check_epsilon(epsilon)
-    return epsilon
+    if check_modes(draws_by_mode) != ("exceeding",):
+        check_epsilon(epsilon)
 
 
 def _chunk_count(draws: int) -> int:
@@ -117,8 +124,9 @@ def _chunk_count(draws: int) -> int:
 
 @contextmanager
 def _pool(workers: int, chunks: int):
-    """A thread pool of ``min(workers, chunks)`` threads, or None where that is one."""
-    workers = min(workers, chunks)
+    """A pool of ``min(workers, chunks, CPUs)`` threads, or None where that is one."""
+    # pool.map submits every chunk at once: threads past the CPUs only hold chunk buffers.
+    workers = min(workers, chunks, os.cpu_count() or 1)
     if workers == 1:
         yield None
     else:
@@ -164,18 +172,23 @@ def _length_hits(
     return hits
 
 
-def _estimate(n: int, draws: int, hits: int, mode: str, epsilon: float | None, seed: int) -> EstimateResult:
-    mu = hits / draws
-    return EstimateResult(
-        n=n,
-        draws=draws,
-        hits=hits,
-        mu_hat=mu,
-        std_err=math.sqrt(mu * (1.0 - mu) / draws),
-        mode=mode,
-        epsilon=epsilon,
-        seed=seed,
-    )
+def _estimates(bank: ItemBank, seeds: dict[int, int], draws_by_mode: dict[str, int], target_curve: Curve,
+               epsilon: float | None, workers: int) -> dict[int, dict[str, EstimateResult]]:
+    """Each mode's estimate at each length n, on ``seeds[n]``'s chunks: the driver of both entry points."""
+    info = information_matrix(bank, target_curve.grid)
+    out = {}
+    with _pool(workers, _chunk_count(max(draws_by_mode.values()))) as pool:
+        for n, seed in seeds.items():
+            hits = _length_hits(info, n, draws_by_mode, target_curve, epsilon, seed, pool)
+            out[n] = {}
+            for mode, draws in draws_by_mode.items():
+                mu = hits[mode] / draws
+                out[n][mode] = EstimateResult(
+                    n=n, draws=draws, hits=hits[mode], mode=mode, seed=seed,
+                    mu_hat=mu, std_err=math.sqrt(mu * (1.0 - mu) / draws),
+                    epsilon=None if mode == "exceeding" else epsilon,
+                )
+    return out
 
 
 def estimate_mu(
@@ -194,13 +207,11 @@ def estimate_mu(
     epsilon unused), ``"absolute"`` (L2 distance below ``epsilon``) or
     ``"relative"`` (the form scaled by lambda = target area / form area has
     lambda < 1 and fits the target within ``epsilon``); the meeting modes
-    require ``epsilon``.
+    require ``epsilon``. This is the one-length case of ``sweep``'s path,
+    counted on ``seed``'s own chunks.
     """
-    epsilon = _check_estimate(bank, n, draws, mode, epsilon, seed, workers)
-    info = information_matrix(bank, target_curve.grid)
-    with _pool(workers, _chunk_count(draws)) as pool:
-        hits = _length_hits(info, n, {mode: draws}, target_curve, epsilon, seed, pool)[mode]
-    return _estimate(n, draws, hits, mode, epsilon, seed)
+    _check_request(bank, (n,), {mode: draws}, epsilon, seed, workers)
+    return _estimates(bank, {n: seed}, {mode: draws}, target_curve, epsilon, workers)[n][mode]
 
 
 def estimate_mu_relative(
@@ -242,27 +253,11 @@ def sweep(
     argument is checked before the first estimate runs; the information
     matrix and the thread pool are built once per sweep.
     """
-    if not n_values:
-        raise ParameterError("n_values must be nonempty")
-    modes = check_modes(modes)
     draws = {mode: draws_exceeding if mode == "exceeding" else draws_meeting for mode in modes}
-    epsilons = {}
-    for n in n_values:
-        for mode in modes:
-            epsilons[mode] = _check_estimate(bank, n, draws[mode], mode, epsilon, seed, workers)
-    if len(set(n_values)) < len(n_values):
-        raise ParameterError(f"test lengths must not repeat, got {list(n_values)}")
-
-    info = information_matrix(bank, target_curve.grid)
-    rows = []
-    with _pool(workers, _chunk_count(max(draws.values()))) as pool:
-        for n in n_values:
-            subseed = _subseed(seed, n)
-            hits = _length_hits(info, n, draws, target_curve, epsilon, subseed, pool)
-            estimates = {mode: _estimate(n, draws[mode], hits[mode], mode, epsilons[mode], subseed)
-                         for mode in modes}
-            rows.append(SweepRow(n=n, seed=seed, **estimates))
-    return rows
+    _check_request(bank, n_values, draws, epsilon, seed, workers)
+    seeds = {n: _subseed(seed, n) for n in n_values}
+    cells = _estimates(bank, seeds, draws, target_curve, epsilon, workers)
+    return [SweepRow(n=n, seed=seed, **estimates) for n, estimates in cells.items()]
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:

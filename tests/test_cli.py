@@ -159,6 +159,18 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "at least one mode is required" in capsys.readouterr().err
 
+    def test_an_end_far_past_the_bank_is_refused_at_the_first_bad_length(
+        self, tmp_path, bank12_csv, scaled_target_arg, capsys
+    ):
+        # The lengths are never materialized: 10**12 of them would not fit in memory.
+        out = tmp_path / "s.csv"
+        code = main(self.sweep_argv(bank12_csv, out, scaled_target_arg,
+                                    **{"--seed": "1", "--n-from": "2", "--n-to": "1000000000000", "--K": "100"}))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "test length must lie in [1, 12], got 13" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_a_zero_length_step_is_a_usage_error(self, tmp_path, bank12_csv, scaled_target_arg, capsys):
         code = main(self.sweep_argv(bank12_csv, tmp_path / "s.csv", scaled_target_arg, **{"--n-step": "0"}))
         assert code == EXIT_USAGE

@@ -132,7 +132,8 @@ class TestWorkers:
             sweep(bank12, [4], scaled_curve_12, 1.0, 0, 3 * _CHUNK, 3 * _CHUNK, workers=workers)
         assert pool_sizes == []
 
-    def test_pool_is_capped_at_the_chunk_count(self, bank12, scaled_curve_12, pool_sizes):
+    def test_pool_is_capped_at_the_chunk_count(self, bank12, scaled_curve_12, pool_sizes, monkeypatch):
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
         serial = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12, seed=4)
         assert pool_sizes == []
         capped = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12,
@@ -147,6 +148,18 @@ class TestWorkers:
         assert pool_sizes == [3, 2]
         assert sweep(*args, workers=64) == serial_rows
         assert pool_sizes == [3, 2, 3]
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2, 2]), (1, []), (None, [])])
+    def test_pool_is_capped_at_the_cpu_count(
+        self, bank12, scaled_curve_12, pool_sizes, monkeypatch, cpus, sizes
+    ):
+        # 1,221 chunks at 64 workers: without the cap, a thread per worker.
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sampling, "_length_hits", lambda info, n, draws_by_mode, *args:
+                            dict.fromkeys(draws_by_mode, 0))
+        estimate_mu(bank12, 4, 10**7, "exceeding", scaled_curve_12, workers=64)
+        sweep(bank12, [3, 4], scaled_curve_12, 1.0, 0, 10**7, 10**7, workers=64)
+        assert pool_sizes == sizes
 
 
 class TestEstimateValidation:
@@ -314,18 +327,21 @@ class TestSweep:
             sweep(bank12, [3, 3], scaled_curve_12, 1.0, 0, 100, 100)
 
 
-    @pytest.mark.parametrize("bad, match", [
-        pytest.param(dict(seed=-1), "seed must be non-negative", id="seed"),
-        pytest.param(dict(draws_exceeding=0), "draw count", id="draws_exceeding"),
-        pytest.param(dict(draws_meeting=0, modes=("exceeding", "absolute")), "draw count",
+    @pytest.mark.parametrize("bad, mode, match", [
+        pytest.param(dict(seed=-1), "exceeding", "seed must be non-negative", id="seed"),
+        pytest.param(dict(draws_exceeding=0), "exceeding", "draw count", id="draws_exceeding"),
+        pytest.param(dict(draws_meeting=0, modes=("exceeding", "absolute")), "absolute", "draw count",
                      id="draws_meeting"),
-        pytest.param(dict(epsilon=None, modes=("exceeding", "absolute")), "epsilon",
+        pytest.param(dict(epsilon=None, modes=("exceeding", "absolute")), "absolute", "epsilon",
                      id="epsilon_none"),
-        pytest.param(dict(epsilon=math.nan, modes=("relative",)), "epsilon", id="epsilon_nan"),
-        pytest.param(dict(workers=0), "worker count", id="workers"),
+        pytest.param(dict(epsilon=math.nan, modes=("relative",)), "relative", "epsilon", id="epsilon_nan"),
+        pytest.param(dict(workers=0), "exceeding", "worker count", id="workers"),
+        # Checked length by length: the range is never materialized.
+        pytest.param(dict(n_values=range(1, 10**12)), "exceeding", r"test length must lie in \[1, 12\]",
+                     id="huge_range"),
     ])
     def test_every_argument_is_checked_before_any_estimate(
-        self, bank12, scaled_curve_12, monkeypatch, bad, match
+        self, bank12, scaled_curve_12, monkeypatch, bad, mode, match
     ):
         started = []
 
@@ -334,12 +350,19 @@ class TestSweep:
             return dict.fromkeys(draws_by_mode, 0)
 
         monkeypatch.setattr(sampling, "_length_hits", length_hits)
-        args = dict(epsilon=1.0, seed=0, draws_exceeding=100, draws_meeting=100, modes=MODES)
+        args = dict(n_values=[3, 4], epsilon=1.0, seed=0, draws_exceeding=100, draws_meeting=100,
+                    modes=MODES, workers=1)
+        bad_args = {**args, **bad}
         with pytest.raises(ParameterError, match=match):
-            sweep(bank12, [3, 4], scaled_curve_12, **{**args, **bad})
+            sweep(bank12, target_curve=scaled_curve_12, **bad_args)
+        # estimate_mu takes the same path: the same message for the mode the bad argument reaches.
+        draws = bad_args["draws_exceeding" if mode == "exceeding" else "draws_meeting"]
+        with pytest.raises(ParameterError, match=match):
+            estimate_mu(bank12, bad_args["n_values"][-1], draws, mode, scaled_curve_12,
+                        bad_args["epsilon"], bad_args["seed"], bad_args["workers"])
         assert started == []
         # The stand-in does record: valid arguments count every mode once per length.
-        sweep(bank12, [3, 4], scaled_curve_12, **args)
+        sweep(bank12, target_curve=scaled_curve_12, **args)
         assert started == [3, 4]
 
 
