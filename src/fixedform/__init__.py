@@ -6,7 +6,7 @@ forms of each length meet or exceed the target, extrapolate those ratios
 into form counts, and assemble exceeding forms by simulated annealing.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # Every module declares its public names in its own __all__; the package
 # exports their union. The module objects are bound first, because the star

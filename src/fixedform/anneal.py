@@ -28,6 +28,13 @@ __all__ = [
     "anneal",
 ]
 
+# After the start state a run draws its moves in blocks of _MOVE_BLOCK
+# proposals: the drop indices, the add indices, then one uniform each. The
+# block size is part of the reproducibility contract and pinned by tests.
+_MOVE_BLOCK = 1024
+# Candidates scored per deficiency_rows call; any value gives the same run.
+_WINDOW = 16
+
 
 @dataclass(frozen=True)
 class AnnealConfig:
@@ -58,8 +65,10 @@ class AnnealResult:
     """Final state of an annealing run.
 
     ``energy_trace`` holds (proposal index, energy, temperature) snapshots:
-    the initial state plus every accepted move. ``curve`` is the final test's
-    information, freshly summed in item-id order; ``energy`` is its energy.
+    the initial state plus every accepted move. ``stages`` holds one
+    (temperature, proposed, accepted, accepted uphill) count per temperature
+    step that made a proposal. ``curve`` is the final test's information,
+    freshly summed in item-id order; ``energy`` is its energy.
     """
 
     test: TestForm
@@ -69,6 +78,7 @@ class AnnealResult:
     accepted: int
     final_t: float
     energy_trace: tuple[tuple[int, float, float], ...] = field(repr=False)
+    stages: tuple[tuple[float, int, int, int], ...] = field(repr=False)
     curve: Curve = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -95,24 +105,21 @@ def acceptance_probability(e_old: float, e_new: float, temperature: float) -> fl
 def propose_swap(
     test: TestForm, bank: ItemBank, rng: np.random.Generator
 ) -> tuple[int, int]:
-    """Pick (item to drop, item to add) uniformly from the test and its complement."""
+    """Pick (item to drop, item to add) uniformly from the test and its complement.
+
+    The one-move case of :func:`anneal`'s rule: an index into the sorted
+    members, then an index into the sorted non-members.
+    """
     ids = np.asarray(test.item_ids, dtype=np.intp)
     check_items(ids, bank.m)
-    member = np.zeros(bank.m, dtype=bool)
-    member[ids] = True
-    return _swap(ids, member, rng)
+    _check_room(len(ids), bank.m)
+    complement = np.setdiff1d(np.arange(bank.m), ids)
+    return int(ids[rng.integers(len(ids))]), int(complement[rng.integers(len(complement))])
 
 
-def _swap(ids: np.ndarray, member: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
-    # ids are the sorted members of the bank mask; the item to add is drawn
-    # over the whole bank and redrawn until it is not a member.
-    if len(ids) >= len(member):
+def _check_room(n: int, m: int) -> None:
+    if n >= m:
         raise ParameterError("test already uses every item; nothing to swap in")
-    out_id = int(ids[rng.integers(len(ids))])
-    while True:
-        in_id = int(rng.integers(len(member)))
-        if not member[in_id]:
-            return out_id, in_id
 
 
 def _greedy_start(info: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -132,7 +139,9 @@ def anneal(
 
     Starts from a uniform random test (or the greedy top-area test), swaps
     one item per proposal, accepts by the Metropolis rule, and cools
-    geometrically every ``iters_per_temp`` proposals. Returns as soon as the
+    geometrically every ``iters_per_temp`` proposals. After the start state
+    the moves come in blocks of ``_MOVE_BLOCK`` proposals, so the move of
+    proposal p depends only on the seed and p. Returns as soon as the
     deficiency energy reaches zero and a fresh recomputation confirms the
     curve clears the target at every node; otherwise runs out the proposal
     budget and reports ``succeeded=False``.
@@ -167,26 +176,55 @@ def anneal(
     values, energy, succeeded = resync()
     temperature = config.t0
     trace: list[tuple[int, float, float]] = [(0, energy, temperature)]
+    stages: list[list] = []
     proposals = 0
     accepted = 0
+    complement = np.flatnonzero(~member)
 
     while not succeeded and proposals < config.max_proposals:
-        proposals += 1
-        out_id, in_id = _swap(ids, member, rng)
-        new_values = values - info[out_id] + info[in_id]
-        new_energy = energy_of(new_values)
-        if new_energy <= energy or rng.random() < acceptance_probability(
-            energy, new_energy, temperature
-        ):
-            member[out_id] = False
-            member[in_id] = True
-            ids = np.flatnonzero(member)
-            values = new_values
-            energy = new_energy
-            accepted += 1
-            trace.append((proposals, energy, temperature))
-            if energy == 0.0:
-                values, energy, succeeded = resync()
+        offset = proposals % _MOVE_BLOCK
+        if offset == 0:
+            _check_room(n, bank.m)
+            drops = rng.integers(n, size=_MOVE_BLOCK)
+            adds = rng.integers(bank.m - n, size=_MOVE_BLOCK)
+            us = rng.random(_MOVE_BLOCK).tolist()
+        into_stage = proposals % config.iters_per_temp
+        if into_stage == 0:
+            stages.append([temperature, 0, 0, 0])
+        stage = stages[-1]
+        # Every candidate in a window is scored from the state at its start;
+        # the walk stops at the first accepted move, so the run does not
+        # depend on _WINDOW. A window ends at a cooling step, the end of the
+        # move block and the budget.
+        size = min(
+            _WINDOW,
+            _MOVE_BLOCK - offset,
+            config.iters_per_temp - into_stage,
+            config.max_proposals - proposals,
+        )
+        moves = slice(offset, offset + size)
+        outs = ids[drops[moves]]
+        ins = complement[adds[moves]]
+        candidates = values - info[outs]
+        candidates += info[ins]
+        energies = deficiency_rows(candidates, target, weights).tolist()
+        for k, (new_energy, u) in enumerate(zip(energies, us[moves])):
+            proposals += 1
+            stage[1] += 1
+            if new_energy <= energy or u < acceptance_probability(energy, new_energy, temperature):
+                member[outs[k]] = False
+                member[ins[k]] = True
+                ids = np.flatnonzero(member)
+                complement = np.flatnonzero(~member)
+                stage[2] += 1
+                stage[3] += new_energy > energy
+                values = candidates[k]
+                energy = new_energy
+                accepted += 1
+                trace.append((proposals, energy, temperature))
+                if energy == 0.0:
+                    values, energy, succeeded = resync()
+                break
         if not succeeded and proposals % config.iters_per_temp == 0:
             # Fast cooling would underflow to 0, where the Metropolis rule is
             # undefined; the smallest positive float refuses every uphill move.
@@ -202,5 +240,6 @@ def anneal(
         accepted=accepted,
         final_t=temperature,
         energy_trace=tuple(trace),
+        stages=tuple(tuple(stage) for stage in stages),
         curve=final_curve,
     )

@@ -254,11 +254,15 @@ def _cmd_assemble(args) -> tuple[int, str, dict]:
             rows = ([proposal, repr(energy), repr(temp)] for proposal, energy, temp in result.energy_trace)
             dump_csv(handles[1], ["proposal", "energy", "temperature"], rows)
         dump_json(handles[0], doc)
+    facts = {"temperature_stages": [
+        {"temperature": temp, "proposed": proposed, "accepted": accepted, "uphill": uphill}
+        for temp, proposed, accepted, uphill in result.stages
+    ]}
     if result.succeeded:
-        return EXIT_OK, f"exceeding test found after {result.proposals} proposals", {}
+        return EXIT_OK, f"exceeding test found after {result.proposals} proposals", facts
     return EXIT_BUDGET, (
         f"budget of {args.max_proposals} proposals exhausted, residual energy {result.energy:.6g}"
-    ), {}
+    ), facts
 
 
 def _check_sweep_bank(sweep_path, m: int) -> None:

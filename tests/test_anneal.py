@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,9 @@ from fixedform import (
     propose_swap,
     test_information,
 )
+
+# The package exports the function under the module's name.
+ANNEAL = importlib.import_module("fixedform.anneal")
 
 
 class TestAnnealConfig:
@@ -88,14 +92,27 @@ class TestProposeSwap:
         with pytest.raises(UnknownItemError, match=r"\[12, 40\]"):
             propose_swap(TestForm((3, 12, 40)), bank12, np.random.default_rng(0))
 
+    def test_one_move_of_the_block_rule(self, bank12):
+        # An index into the sorted members, then one into the sorted non-members.
+        test = TestForm((0, 3, 7, 11))
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        complement = (1, 2, 4, 5, 6, 8, 9, 10)
+        for _ in range(20):
+            expected = (test.item_ids[replay.integers(4)], complement[replay.integers(8)])
+            assert propose_swap(test, bank12, rng) == expected
+
     @pytest.mark.parametrize("seed", range(6))
     def test_anneal_draws_the_same_pair_from_the_same_state(self, bank12, grid, seed):
         # Replay anneal's start: its generator first permutes the bank, then
-        # proposes one swap. A huge temperature accepts the move, so the
-        # annealed test shows which pair anneal drew.
+        # draws a block of drop indices, a block of add indices and a block of
+        # uniforms. A huge temperature accepts the first move, so the annealed
+        # test shows which pair anneal drew.
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         start = np.sort(rng.permutation(bank12.m)[:4])
-        out_id, in_id = propose_swap(TestForm(tuple(start)), bank12, rng)
+        complement = np.setdiff1d(np.arange(bank12.m), start)
+        drops = rng.integers(4, size=ANNEAL._MOVE_BLOCK)
+        adds = rng.integers(bank12.m - 4, size=ANNEAL._MOVE_BLOCK)
+        out_id, in_id = start[drops[0]], complement[adds[0]]
         unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
         result = anneal(bank12, 4, unreachable, AnnealConfig(seed=seed, t0=1e12, max_proposals=1))
         assert result.accepted == 1
@@ -176,6 +193,36 @@ class TestAnneal:
         assert (result.proposals, result.accepted, result.energy) == (0, 0, 0.0)
         assert len(result.energy_trace) == 1
 
+    def test_a_full_test_needs_no_proposal_when_it_clears_the_target(self, bank12, grid):
+        result = anneal(bank12, 12, Curve(grid, np.zeros(grid.num_points)), AnnealConfig(seed=2))
+        assert result.succeeded
+        assert (result.proposals, result.test.item_ids) == (0, tuple(range(12)))
+
+    def test_a_full_test_that_misses_the_target_cannot_swap(self, bank12, grid):
+        unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
+        with pytest.raises(ParameterError, match="every item"):
+            anneal(bank12, 12, unreachable, AnnealConfig(seed=2))
+
+    @pytest.mark.parametrize("n, max_proposals", [(2, 300), (4, 2500)])
+    def test_stage_counts_add_up(self, bank12, grid, n, max_proposals):
+        unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
+        config = AnnealConfig(seed=1, max_proposals=max_proposals, iters_per_temp=50)
+        result = anneal(bank12, n, unreachable, config)
+        temperatures, proposed, accepted, uphill = zip(*result.stages)
+        assert sum(proposed) == result.proposals
+        assert sum(accepted) == result.accepted
+        assert all(0 <= up <= acc <= prop for prop, acc, up in zip(proposed, accepted, uphill))
+        assert proposed == (50,) * (max_proposals // 50)
+        assert temperatures == pytest.approx([0.05 * 0.9**k for k in range(len(temperatures))])
+
+    def test_stage_counts_of_a_run_that_succeeds(self, bank300, lsat_curve):
+        result = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=1))
+        assert result.succeeded
+        assert sum(stage[1] for stage in result.stages) == result.proposals
+        assert sum(stage[2] for stage in result.stages) == result.accepted
+        assert 0 < sum(stage[3] for stage in result.stages) < result.accepted
+        assert result.stages[-1][0] == result.final_t
+
 
 class TestFinalCurve:
     """``AnnealResult.curve`` is the final form's curve that the energy comes from."""
@@ -202,21 +249,21 @@ class TestFinalCurve:
         assert result.energy == deficiency_energy(result.curve, target)
 
 
-# (n, seed) -> (items, proposals, accepted, final_T, energy), recorded from the
-# set-based annealer this one replaced; any change in how a run consumes its
+# (n, seed) -> (items, proposals, accepted, final_T, energy), recorded from
+# the block-drawn move stream of 0.6.0; any change in how a run consumes its
 # generator shows up here.
 GOLDEN_12 = {
-    (4, 1): ((3, 5, 9, 11), 10, 5, 0.05, 0.0),
-    (4, 6): ((2, 3, 5, 11), 41, 9, 0.05, 0.0),
-    (6, 7): ((1, 4, 5, 8, 10, 11), 4, 3, 0.05, 0.0),
+    (4, 1): ((1, 5, 8, 11), 2, 2, 0.05, 0.0),
+    (4, 6): ((2, 7, 8, 10), 1, 1, 0.05, 0.0),
+    (6, 7): ((2, 4, 6, 7, 8, 10), 6, 5, 0.05, 0.0),
 }
 GOLDEN_300_N40 = {
-    1: ((1, 5, 8, 12, 15, 24, 49, 51, 54, 61, 77, 81, 82, 89, 104, 108, 114, 118, 134, 136,
-         144, 149, 161, 169, 173, 174, 177, 207, 213, 218, 220, 226, 231, 234, 243, 266, 275,
-         290, 291, 294), 5816, 440, 0.02952450000000001, 0.0),
-    2: ((5, 8, 9, 12, 18, 20, 24, 28, 44, 49, 51, 68, 75, 81, 86, 95, 99, 102, 104, 108, 116,
-         120, 130, 133, 134, 136, 152, 154, 173, 185, 197, 199, 213, 232, 243, 247, 259, 260,
-         277, 281), 4244, 349, 0.03280500000000001, 0.0),
+    1: ((8, 12, 15, 18, 36, 45, 51, 61, 92, 99, 102, 113, 132, 134, 143, 148, 173, 174, 177,
+         181, 184, 194, 197, 213, 217, 220, 225, 226, 229, 243, 251, 254, 264, 266, 267, 277,
+         280, 285, 292, 294), 8683, 638, 0.021523360500000012, 0.0),
+    2: ((5, 8, 11, 15, 28, 33, 38, 50, 51, 54, 61, 64, 70, 82, 91, 96, 103, 104, 108, 113, 122,
+         133, 148, 155, 158, 176, 177, 195, 197, 213, 218, 220, 243, 264, 266, 268, 281, 283,
+         291, 294), 1599, 182, 0.045000000000000005, 0.0),
 }
 
 
@@ -240,9 +287,65 @@ class TestGoldenRuns:
         unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
         config = AnnealConfig(seed=1, max_proposals=300, iters_per_temp=50)
         result = anneal(bank12, 2, unreachable, config)
-        assert _summary(result) == ((4, 11), 300, 8, 0.02657205000000001, 5996.911660634405)
+        assert _summary(result) == ((4, 11), 300, 5, 0.02657205000000001, 5996.911660634405)
         assert not result.succeeded
-        assert [entry[0] for entry in result.energy_trace] == [0, 1, 79, 83, 85, 117, 119, 150, 157]
+        assert [entry[0] for entry in result.energy_trace] == [0, 2, 239, 242, 244, 245]
+        assert [stage[1:] for stage in result.stages] == [
+            (50, 1, 0), (50, 0, 0), (50, 0, 0), (50, 0, 0), (50, 4, 2), (50, 0, 0),
+        ]
+
+
+class TestMoveBlocks:
+    """Moves come in fixed blocks; the scoring window changes nothing."""
+
+    def test_move_block_is_pinned(self):
+        # Changing the block size changes which moves a seed makes; it is
+        # part of the reproducibility contract.
+        assert ANNEAL._MOVE_BLOCK == 1024
+
+    @staticmethod
+    def runs_agree_across_windows(monkeypatch, run, iters_per_temp):
+        results = []
+        for window in (1, iters_per_temp + 1):
+            monkeypatch.setattr(ANNEAL, "_WINDOW", window)
+            results.append(run())
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize("n, seed", [(4, 1), (4, 6), (6, 7)])
+    def test_window_does_not_change_a_bank12_run(self, monkeypatch, bank12, scaled_curve_12, n, seed):
+        config = AnnealConfig(seed=seed, max_proposals=20_000)
+        self.runs_agree_across_windows(
+            monkeypatch, lambda: anneal(bank12, n, scaled_curve_12, config), config.iters_per_temp
+        )
+
+    def test_window_does_not_change_a_bank12_budget_run(self, monkeypatch, bank12, grid):
+        # 2500 proposals end inside the third block and cross 49 cooling steps.
+        unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
+        config = AnnealConfig(seed=1, max_proposals=2500, iters_per_temp=50)
+        result = self.runs_agree_across_windows(
+            monkeypatch, lambda: anneal(bank12, 4, unreachable, config), config.iters_per_temp
+        )
+        assert (result.proposals, result.succeeded) == (2500, False)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_window_does_not_change_a_bank300_run(self, monkeypatch, bank300, lsat_curve, seed):
+        # Seed 1 runs out its budget 452 proposals into the third block;
+        # seed 4 succeeds.
+        config = AnnealConfig(seed=seed, iters_per_temp=7, max_proposals=2500)
+        result = self.runs_agree_across_windows(
+            monkeypatch, lambda: anneal(bank300, 40, lsat_curve, config), config.iters_per_temp
+        )
+        assert result.succeeded == (seed == 4)
+
+    @pytest.mark.parametrize("cap", [1, 700, 1000, 1024, 2049])
+    def test_a_capped_run_is_a_prefix_of_a_longer_one(self, bank300, lsat_curve, cap):
+        full = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=1))
+        assert full.proposals > cap
+        capped = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=1, max_proposals=cap))
+        assert capped.proposals == cap
+        assert capped.energy_trace == tuple(e for e in full.energy_trace if e[0] <= cap)
+        assert capped.accepted == len(capped.energy_trace) - 1
 
 
 def test_fast_cooling_runs_out_the_budget_at_a_positive_temperature(bank12, lsat_curve):

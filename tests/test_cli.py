@@ -255,6 +255,17 @@ class TestAssembleCommand:
         assert doc["proposals"] == 200
         assert "budget" in capsys.readouterr().err
 
+    def test_manifest_records_the_stage_counts(self, tmp_path, bank12_csv):
+        out = tmp_path / "test.json"
+        main(["assemble", "--bank", str(bank12_csv), "--n", "4", "--seed", "0",
+              "--max-proposals", "250", "--iters-per-temp", "100", "-o", str(out)])
+        doc = json.loads(out.read_text())
+        stages = read_manifest(out)["temperature_stages"]
+        assert [stage["temperature"] for stage in stages] == [0.05, 0.05 * 0.9, 0.05 * 0.9 * 0.9]
+        assert [stage["proposed"] for stage in stages] == [100, 100, 50]
+        assert sum(stage["accepted"] for stage in stages) == doc["accepted"]
+        assert all(0 <= stage["uphill"] <= stage["accepted"] for stage in stages)
+
     def test_missing_n_is_a_usage_error(self, tmp_path, bank12_csv, capsys):
         code = main(["assemble", "--bank", str(bank12_csv), "--seed", "0",
                      "-o", str(tmp_path / "t.json")])
