@@ -113,7 +113,7 @@ def propose_swap(
     ids = np.asarray(test.item_ids, dtype=np.intp)
     check_items(ids, bank.m)
     _check_room(len(ids), bank.m)
-    complement = np.setdiff1d(np.arange(bank.m), ids)
+    complement = np.delete(np.arange(bank.m), ids)
     return int(ids[rng.integers(len(ids))]), int(complement[rng.integers(len(complement))])
 
 
@@ -139,12 +139,14 @@ def anneal(
 
     Starts from a uniform random test (or the greedy top-area test), swaps
     one item per proposal, accepts by the Metropolis rule, and cools
-    geometrically every ``iters_per_temp`` proposals. After the start state
-    the moves come in blocks of ``_MOVE_BLOCK`` proposals, so the move of
-    proposal p depends only on the seed and p. Returns as soon as the
-    deficiency energy reaches zero and a fresh recomputation confirms the
-    curve clears the target at every node; otherwise runs out the proposal
-    budget and reports ``succeeded=False``.
+    geometrically every ``iters_per_temp`` proposals. The state is two sorted
+    id arrays, the members and the non-members. After the start state the
+    moves come in blocks of ``_MOVE_BLOCK`` proposals, so the move of
+    proposal p depends only on the seed and p; each temperature step's counts
+    are taken when it ends. Returns as soon as the deficiency energy reaches
+    zero and a fresh recomputation confirms the curve clears the target at
+    every node; otherwise runs out the proposal budget and reports
+    ``succeeded=False``.
     """
     if config is None:
         config = AnnealConfig()
@@ -160,71 +162,59 @@ def anneal(
         ids = _greedy_start(info, weights, n)
     else:
         ids = np.sort(rng.permutation(bank.m)[:n])
-    member = np.zeros(bank.m, dtype=bool)
-    member[ids] = True
-
-    def energy_of(values: np.ndarray) -> float:
-        return float(deficiency_rows(values, target, weights))
+    complement = np.delete(np.arange(bank.m), ids)  # np.setdiff1d would import numpy.ma
 
     def resync() -> tuple[np.ndarray, float, bool]:
         # A fresh sum in id order, bitwise the curve test_information gives;
         # it clears the incremental drift and confirms a zero energy.
         values = info[ids].sum(axis=0)
-        energy = energy_of(values)
+        energy = float(deficiency_rows(values, target, weights))
         return values, energy, energy == 0.0 and is_exceeding(Curve(grid, values), target_curve)
 
     values, energy, succeeded = resync()
     temperature = config.t0
     trace: list[tuple[int, float, float]] = [(0, energy, temperature)]
-    stages: list[list] = []
+    stages: list[tuple[float, int, int, int]] = []
     proposals = 0
-    accepted = 0
-    complement = np.flatnonzero(~member)
 
     while not succeeded and proposals < config.max_proposals:
-        offset = proposals % _MOVE_BLOCK
-        if offset == 0:
-            _check_room(n, bank.m)
-            drops = rng.integers(n, size=_MOVE_BLOCK)
-            adds = rng.integers(bank.m - n, size=_MOVE_BLOCK)
-            us = rng.random(_MOVE_BLOCK).tolist()
-        into_stage = proposals % config.iters_per_temp
-        if into_stage == 0:
-            stages.append([temperature, 0, 0, 0])
-        stage = stages[-1]
-        # Every candidate in a window is scored from the state at its start;
-        # the walk stops at the first accepted move, so the run does not
-        # depend on _WINDOW. A window ends at a cooling step, the end of the
-        # move block and the budget.
-        size = min(
-            _WINDOW,
-            _MOVE_BLOCK - offset,
-            config.iters_per_temp - into_stage,
-            config.max_proposals - proposals,
-        )
-        moves = slice(offset, offset + size)
-        outs = ids[drops[moves]]
-        ins = complement[adds[moves]]
-        candidates = values - info[outs]
-        candidates += info[ins]
-        energies = deficiency_rows(candidates, target, weights).tolist()
-        for k, (new_energy, u) in enumerate(zip(energies, us[moves])):
-            proposals += 1
-            stage[1] += 1
-            if new_energy <= energy or u < acceptance_probability(energy, new_energy, temperature):
-                member[outs[k]] = False
-                member[ins[k]] = True
-                ids = np.flatnonzero(member)
-                complement = np.flatnonzero(~member)
-                stage[2] += 1
-                stage[3] += new_energy > energy
-                values = candidates[k]
-                energy = new_energy
-                accepted += 1
-                trace.append((proposals, energy, temperature))
-                if energy == 0.0:
-                    values, energy, succeeded = resync()
-                break
+        stage_start, stage_trace, uphill = proposals, len(trace), 0
+        stage_end = min(proposals + config.iters_per_temp, config.max_proposals)
+        while not succeeded and proposals < stage_end:
+            offset = proposals % _MOVE_BLOCK
+            if offset == 0:
+                _check_room(n, bank.m)
+                drops = rng.integers(n, size=_MOVE_BLOCK)
+                adds = rng.integers(bank.m - n, size=_MOVE_BLOCK)
+                us = rng.random(_MOVE_BLOCK).tolist()
+            # A window's candidates are scored from its start state and walked up
+            # to the first accepted move, so the run does not depend on _WINDOW.
+            size = min(_WINDOW, _MOVE_BLOCK - offset, stage_end - proposals)
+            moves = slice(offset, offset + size)
+            outs = ids[drops[moves]]
+            ins = complement[adds[moves]]
+            candidates = values - info[outs]
+            candidates += info[ins]
+            energies = deficiency_rows(candidates, target, weights).tolist()
+            for k, (new_energy, u) in enumerate(zip(energies, us[moves])):
+                if new_energy <= energy or u < acceptance_probability(energy, new_energy, temperature):
+                    break
+            else:
+                proposals += size
+                continue
+            proposals += k + 1
+            # Each item takes the other's slot; re-sorting keeps both arrays in id order.
+            ids[drops[offset + k]] = ins[k]
+            complement[adds[offset + k]] = outs[k]
+            ids.sort()
+            complement.sort()
+            uphill += new_energy > energy
+            values = candidates[k]
+            energy = new_energy
+            trace.append((proposals, energy, temperature))
+            if energy == 0.0:
+                values, energy, succeeded = resync()
+        stages.append((temperature, proposals - stage_start, len(trace) - stage_trace, uphill))
         if not succeeded and proposals % config.iters_per_temp == 0:
             # Fast cooling would underflow to 0, where the Metropolis rule is
             # undefined; the smallest positive float refuses every uphill move.
@@ -234,12 +224,12 @@ def anneal(
     final_curve = Curve(grid, info[ids].sum(axis=0))
     return AnnealResult(
         test=TestForm(tuple(ids)),
-        energy=energy_of(final_curve.values),
+        energy=float(deficiency_rows(final_curve.values, target, weights)),
         succeeded=succeeded,
         proposals=proposals,
-        accepted=accepted,
+        accepted=len(trace) - 1,
         final_t=temperature,
         energy_trace=tuple(trace),
-        stages=tuple(tuple(stage) for stage in stages),
+        stages=tuple(stages),
         curve=final_curve,
     )

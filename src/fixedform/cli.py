@@ -271,8 +271,12 @@ def _check_sweep_bank(sweep_path, m: int) -> None:
     if not os.path.exists(manifest):
         return
     doc = read_json(manifest)
-    recorded = doc.get("bank_m") if isinstance(doc, dict) else None
-    if recorded is not None and recorded != m:
+    if not (isinstance(doc, dict) and "bank_m" in doc):
+        return
+    recorded = doc["bank_m"]
+    if type(recorded) is not int:
+        raise FileFormatError(f"{manifest}: bank_m must be a JSON integer, got {json.dumps(recorded)}")
+    if recorded != m:
         raise ParameterError(f"bank size {m} contradicts the bank size {recorded} recorded in {manifest}")
 
 

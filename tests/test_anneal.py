@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixedform import (
     AnnealConfig,
@@ -271,6 +273,21 @@ def _summary(result):
     return (result.test.item_ids, result.proposals, result.accepted, result.final_t, result.energy)
 
 
+# seed -> (stages, number of trace entries, sha256 of their comma-joined
+# proposal indices) for the GOLDEN_300_N40 runs. Seed 1 crosses 8 cooling
+# steps and 8 move blocks.
+GOLDEN_300_N40_STEPS = {
+    1: (((0.05, 1000, 105, 44), (0.045000000000000005, 1000, 85, 44),
+         (0.04050000000000001, 1000, 61, 28), (0.03645000000000001, 1000, 84, 44),
+         (0.03280500000000001, 1000, 80, 39), (0.02952450000000001, 1000, 60, 31),
+         (0.02657205000000001, 1000, 60, 25), (0.02391484500000001, 1000, 55, 29),
+         (0.021523360500000012, 683, 48, 22)),
+        639, "ccca563bcf64bea31395e72e3a0bded26f2ae278e0ffbf021962d473695411e4"),
+    2: (((0.05, 1000, 126, 46), (0.045000000000000005, 599, 56, 28)),
+        183, "8a23fbf3f8776fe6fd308c90b1814e5a49424f233bb630ecac0722ef90b80a06"),
+}
+
+
 class TestGoldenRuns:
     @pytest.mark.parametrize("key", sorted(GOLDEN_12))
     def test_bank12(self, bank12, scaled_curve_12, key):
@@ -282,6 +299,13 @@ class TestGoldenRuns:
     def test_bank300_n40(self, bank300, lsat_curve, seed):
         result = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=seed))
         assert _summary(result) == GOLDEN_300_N40[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_300_N40_STEPS))
+    def test_bank300_n40_steps_and_trace(self, bank300, lsat_curve, seed):
+        result = anneal(bank300, 40, lsat_curve, AnnealConfig(seed=seed))
+        indices = ",".join(str(entry[0]) for entry in result.energy_trace)
+        digest = hashlib.sha256(indices.encode()).hexdigest()
+        assert (result.stages, len(result.energy_trace), digest) == GOLDEN_300_N40_STEPS[seed]
 
     def test_budget_exhausted(self, bank12, grid):
         unreachable = Curve(grid, np.full(grid.num_points, 1000.0))
@@ -346,6 +370,44 @@ class TestMoveBlocks:
         assert capped.proposals == cap
         assert capped.energy_trace == tuple(e for e in full.energy_trace if e[0] <= cap)
         assert capped.accepted == len(capped.energy_trace) - 1
+
+
+class TestStepCounts:
+    """Each temperature step's counts agree with the trace and the schedule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 11),
+        seed=st.integers(0, 2**16),
+        iters_per_temp=st.integers(1, 60),
+        max_proposals=st.integers(1, 3000),
+        greedy_init=st.booleans(),
+        alpha=st.sampled_from((0.9, 0.1)),
+    )
+    def test_steps_match_the_trace_and_the_schedule(
+        self, bank12, scaled_curve_12, n, seed, iters_per_temp, max_proposals, greedy_init, alpha
+    ):
+        config = AnnealConfig(seed=seed, alpha=alpha, iters_per_temp=iters_per_temp,
+                              max_proposals=max_proposals, greedy_init=greedy_init)
+        result = anneal(bank12, n, scaled_curve_12, config)
+        temperatures, proposed, accepted, uphill = zip(*result.stages) if result.stages else ((),) * 4
+        assert sum(proposed) == result.proposals
+        assert sum(accepted) == result.accepted == len(result.energy_trace) - 1
+        # Proposal p (counted from 1) belongs to step (p - 1) // iters_per_temp.
+        per_step = [0] * len(result.stages)
+        for index, _, temperature in result.energy_trace[1:]:
+            step = (index - 1) // iters_per_temp
+            per_step[step] += 1
+            assert temperature == temperatures[step]
+        assert tuple(per_step) == accepted
+        assert all(count == iters_per_temp for count in proposed[:-1])
+        assert all(0 < count <= iters_per_temp for count in proposed[-1:])
+        assert all(0 <= up <= acc for acc, up in zip(accepted, uphill))
+        expected, temperature = [], config.t0
+        for _ in temperatures:
+            expected.append(temperature)
+            temperature = max(temperature * alpha, math.ulp(0.0))
+        assert list(temperatures) == expected
 
 
 def test_fast_cooling_runs_out_the_budget_at_a_positive_temperature(bank12, lsat_curve):

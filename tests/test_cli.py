@@ -371,6 +371,28 @@ class TestCountsCommand:
         (tmp_path / "sweep.csv.manifest.json").write_text('{"command": "sweep", "parameters": {}}')
         assert self.counts_bytes(tmp_path, sweep_csv) == without
 
+    @pytest.mark.parametrize("recorded", ['"12"', "12.0", "true", "[12]", "null"])
+    def test_a_bank_size_that_is_not_a_json_integer_is_a_file_error(self, tmp_path, capsys, recorded):
+        # "12" once read as a contradiction of 12 and true as m = 1.
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12)
+        manifest = tmp_path / "sweep.csv.manifest.json"
+        manifest.write_text(f'{{"command": "sweep", "bank_m": {recorded}}}')
+        for size in ("12", "1"):
+            code = main(["counts", "--sweep", str(sweep_csv), "--m", size, "-o", str(tmp_path / "c.csv")])
+            assert code == EXIT_IO
+            err = capsys.readouterr().err
+            assert f"{manifest}: bank_m must be a JSON integer, got {recorded}" in err
+            assert "contradicts" not in err
+            assert not (tmp_path / "c.csv").exists()
+
+    def test_a_matching_integer_bank_size_passes(self, tmp_path):
+        sweep_csv = tmp_path / "sweep.csv"
+        write_unit_sweep(sweep_csv, [2, 3], m=12)
+        without = self.counts_bytes(tmp_path, sweep_csv)
+        (tmp_path / "sweep.csv.manifest.json").write_text('{"command": "sweep", "bank_m": 12}')
+        assert self.counts_bytes(tmp_path, sweep_csv) == without
+
     def test_m_or_bank_is_required(self, tmp_path, capsys):
         sweep_csv = tmp_path / "sweep.csv"
         write_unit_sweep(sweep_csv, [2, 3], m=12)
