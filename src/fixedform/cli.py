@@ -271,7 +271,9 @@ def _check_sweep_bank(sweep_path, m: int) -> None:
     if not os.path.exists(manifest):
         return
     doc = read_json(manifest)
-    if not (isinstance(doc, dict) and "bank_m" in doc):
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{manifest}: a manifest must be a JSON object, got {json.dumps(doc)}")
+    if "bank_m" not in doc:
         return
     recorded = doc["bank_m"]
     if type(recorded) is not int:

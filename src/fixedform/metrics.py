@@ -16,6 +16,14 @@ them on at most 16 of the grid's nodes: a form whose curve there already
 rules out every requested class is dropped, exactly, without its full
 curve; only the survivors get ``form_curves`` on every node and
 ``fit_batch``. The screen changes no count.
+
+``FormSums`` counts them over every form of a bank, for exact enumeration.
+A form is kept as running sums over its items, built once for all the forms
+that share a prefix: its curve on the screen's nodes, and the three sums
+from which ``_MeetingRule`` decides the meeting classes wherever rounding
+cannot change the outcome. Only the forms that the exceeding screen keeps or
+that rule leaves open get a full curve and ``fit_batch``, so no count
+changes either.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ __all__ = [
     "deficiency_rows",
     "fit_batch",
     "count_hits",
+    "FormSums",
     "FitReport",
     "fit_report",
 ]
@@ -72,6 +81,10 @@ _SCREEN_BATCH = 1024
 
 # Nodes in the screen's subset at most; every 8th node on the default grid.
 _SCREEN_NODES = 16
+
+# How far _MeetingRule needs a squared distance to clear eps**2, relative to
+# the size of its terms, and lambda to clear 1, before it decides a form.
+_MARGIN = 1e-9
 
 
 def trapezoid_weights(grid: AbilityGrid) -> np.ndarray:
@@ -213,8 +226,11 @@ class _Screen:
 
     def survivors(self, ids: np.ndarray) -> np.ndarray:
         """The rows of ``ids`` that S cannot rule out of every class."""
-        curves = form_curves(self.info, ids)
-        keep = np.zeros(len(ids), dtype=bool)
+        return ids[self.keep(form_curves(self.info, ids))]
+
+    def keep(self, curves: np.ndarray) -> np.ndarray:
+        """Which rows of ``curves``, forms' values on S, S cannot rule out of every class."""
+        keep = np.zeros(len(curves), dtype=bool)
         if "exceeding" in self.classes:
             keep |= ~((curves <= self.target) @ self.all_nodes)
         if "absolute" in self.classes:
@@ -227,7 +243,7 @@ class _Screen:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam = np.minimum(b / a, 1.0)
             keep |= ~((lam * a - 2.0 * b) * lam + self.target_norm > self.relative_limit)
-        return ids[keep]
+        return keep
 
 
 def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
@@ -257,6 +273,175 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
             for name in classes:
                 hits[name] += int(fit[name].sum())
     return hits
+
+
+class _MeetingRule:
+    """The meeting classes of forms, decided from three sums per form where rounding cannot matter.
+
+    With x a form's 0/1 item indicator, its curve is c = info.T x and its
+    weighted squared distance to the target t is a quadratic form in x:
+
+        sum w*(c - t)**2 = a - 2*b + T,   a = x.G x,  b = x.h,  T = sum w*t**2,
+
+    with G = info diag(w) info.T and h = info (w*t); its area is x.r, r =
+    info w. The relative class scales c by lambda = S_t / area (S_t = sum
+    w*t), which maps a to lambda**2 * a and b to lambda * b.
+
+    ``clear`` calls q = a - 2*b + T a hit where q < eps**2 - M and a miss
+    where q > eps**2 + M, M = 1e-9 * (a + 2*|b| + T + eps**2). The relative
+    class is a miss where lambda > 1 + 1e-9, decided by ``clear`` on the
+    scaled a and b where lambda < 1 - 1e-9, and left open in between. Each
+    comparison is false on a NaN, so a NaN leaves the form open. An open
+    form goes to ``fit_batch`` on its curve, so every count is exactly
+    ``fit_batch``'s.
+
+    Why 1e-9 is enough: information is >= 0 and the weights are > 0, so a,
+    T, the area and every entry of G and r are sums of nonnegative terms,
+    however they are grouped (G's sums over nodes, a prefix's sum plus one
+    item's, ``fit_batch``'s row sums). Each is therefore computed within a
+    small multiple of (N + n) * u of its exact value, relatively, where N
+    is the node count, n the form length and u the unit roundoff. b's error
+    is bounded the same way against sum w*c*|t|, which is at most (a + T) /
+    2 by Cauchy-Schwarz. The computed q and ``fit_batch``'s squared l2 thus
+    each lie within a few (N + n) * u * (a + T) of the exact value. The two
+    lambdas differ by a relative 2 * (N + n) * u, which moves q(lambda) by
+    a few (N + n) * u * (lambda**2 * a + |lambda * b|). While N + n << 10**6
+    all of this, and the rounding of ``sqrt(l2**2) < eps``, is far inside M,
+    and lambda near 1 is never decided here.
+    """
+
+    def __init__(self, info: np.ndarray, target_curve: Curve, epsilon: float) -> None:
+        weights = trapezoid_weights(target_curve.grid)
+        target = target_curve.values
+        self.h = info @ (weights * target)
+        self.r = info @ weights
+        self.target_norm = float((target * target * weights).sum())
+        self.s_target = float((target * weights).sum())  # as fit_batch computes it
+        self.eps2 = epsilon * epsilon
+
+    def clear(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, miss): where a - 2*b + T is below, or above, eps**2 by more than the margin."""
+        q = a - 2.0 * b + self.target_norm
+        margin = _MARGIN * (a + 2.0 * np.abs(b) + self.target_norm + self.eps2)
+        return q < self.eps2 - margin, q > self.eps2 + margin
+
+    def decide(self, a: np.ndarray, b: np.ndarray, area: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per meeting class, the (hit, open) masks of the forms with these sums."""
+        hit, miss = self.clear(a, b)
+        out = {"absolute": (hit, ~(hit | miss))}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = self.s_target / area
+            hit, miss = self.clear(lam * lam * a, lam * b)
+        below = lam < 1.0 - _MARGIN
+        out["relative"] = (below & hit, ~((below & (hit | miss)) | (lam > 1.0 + _MARGIN)))
+        return out
+
+
+class FormSums:
+    """Forms as running sums over their items, extended one item at a time, and their hits.
+
+    A row of sums holds, for one form, its curve on the screen's nodes (bit
+    for bit its ``form_curves`` curve there: each node adds the items'
+    values left to right, from 0), its b, its area and its a, as
+    ``_MeetingRule`` defines them, and what a's cross term with a further
+    item needs (see ``__init__``). A block is rows of sums and the rows'
+    item ids, sorted by last item, so the rows that an item j can extend
+    (those whose last item is before j) are a leading run. ``extend`` and
+    ``count`` take the forms that add item ``first + k`` to each of the
+    first ``runs[k]`` rows, for every k.
+    """
+
+    def __init__(self, info: np.ndarray, target_curve: Curve, epsilon: float) -> None:
+        check_epsilon(epsilon)
+        self.info = info
+        self.target_curve = target_curve
+        self.epsilon = epsilon
+        self.screen = _Screen(info, target_curve, epsilon, ("exceeding",))
+        self.rule = _MeetingRule(info, target_curve, epsilon)
+        m, num_points = info.shape
+        weighted = info * trapezoid_weights(target_curve.grid)
+        # Adding item j adds 2 * sum w*c*info_j to a, c the row's curve. A row carries
+        # the narrower of two forms of it: its row of 2G (m numbers), whose entry j
+        # it is, or its curve times 2w (N numbers), which info_j multiplies. G is
+        # m x m, so it is built only while m <= N. (einsum, not a BLAS product: at
+        # m = 100 the BLAS threads took 16 ms to start, einsum 0.3 ms.)
+        self._gram_rows = m <= num_points
+        twice = 2.0 * (np.einsum("ig,jg->ij", weighted, info) if self._gram_rows else weighted)
+        # What each item adds to a row of sums: its node values, h, r, G[j, j] and its cross form.
+        self.increments = np.hstack([self.screen.info, self.rule.h[:, None], self.rule.r[:, None],
+                                     np.einsum("ig,ig->i", weighted, info)[:, None], twice])
+        nodes = self.screen.info.shape[1]
+        self._b, self._area, self._a, self._twice = nodes, nodes + 1, nodes + 2, nodes + 3
+        self._forms = np.empty((0, self._twice))
+
+    def empty(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block of the one form with no items."""
+        return np.zeros((1, self.increments.shape[1])), np.zeros((1, 0), dtype=np.intp)
+
+    def extend(self, sums: np.ndarray, ids: np.ndarray, first: int, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block of the forms that extend ``sums`` and ``ids`` by ``runs``, sorted by last item."""
+        rows, items = _run_forms(first, runs, np.arange(int(runs.sum())))
+        out = np.empty((len(rows), self.increments.shape[1]))
+        return self._extend(sums, first, runs, out), np.column_stack([ids[rows], items])
+
+    def _extend(self, sums: np.ndarray, first: int, runs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # The first out.shape[1] columns of the extended sums, written to ``out``.
+        width = out.shape[1]
+        lo = 0
+        for item, run in enumerate(runs.tolist(), start=first):
+            if run:
+                np.add(sums[:run, :width], self.increments[item, :width], out=out[lo : lo + run])
+                if self._gram_rows:
+                    out[lo : lo + run, self._a] += sums[:run, self._twice + item]
+                else:
+                    out[lo : lo + run, self._a] += sums[:run, self._twice :] @ self.info[item]
+                lo += run
+        return out
+
+    def _curves(self, ids: np.ndarray) -> np.ndarray:
+        # form_curves, which needs at least one item per form, or the empty forms' zeros.
+        return form_curves(self.info, ids) if ids.shape[1] else np.zeros((len(ids), self.info.shape[1]))
+
+    def count(self, sums: np.ndarray, ids: np.ndarray, first: int, runs: np.ndarray) -> dict[str, int]:
+        """Hits per fit class in ``MODES`` among the forms that extend the block by ``runs``.
+
+        A form's full curve, ``form_curves`` of its ids, is built only where
+        the exceeding screen (``_Screen``) keeps the form or ``_MeetingRule``
+        leaves it open; the counts are those of ``fit_batch`` on every form's
+        curve.
+        """
+        total = int(runs.sum())
+        # One buffer for every block's forms: a fresh one per block costs page faults.
+        if len(self._forms) < total:
+            self._forms = np.empty((total, self._twice))
+        forms = self._extend(sums, first, runs, self._forms[:total])
+        open_forms = {"exceeding": self.screen.keep(forms[:, : self._b])}
+        hits = dict.fromkeys(MODES, 0)
+        decided = self.rule.decide(forms[:, self._a], forms[:, self._b], forms[:, self._area])
+        for name, (hit, undecided) in decided.items():
+            hits[name] = int(np.count_nonzero(hit))
+            open_forms[name] = undecided
+        for name, undecided in open_forms.items():
+            if not undecided.any():
+                continue
+            rows, items = _run_forms(first, runs, np.flatnonzero(undecided))
+            # An open form's curve is its prefix's curve plus its last item's, bit
+            # for bit its form_curves curve; in row order, a batch shares prefixes.
+            order = np.argsort(rows, kind="stable")
+            rows, items = rows[order], items[order]
+            for lo in range(0, len(rows), _CURVE_BATCH):
+                prefixes, slots = np.unique(rows[lo : lo + _CURVE_BATCH], return_inverse=True)
+                curves = self._curves(ids[prefixes]).take(slots, axis=0)
+                curves += self.info.take(items[lo : lo + _CURVE_BATCH], axis=0)
+                hits[name] += int(fit_batch(curves, self.target_curve, self.epsilon, (name,))[name].sum())
+        return hits
+
+
+def _run_forms(first: int, runs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the added item of each form ``index`` in the item-major order of ``runs``."""
+    ends = np.cumsum(runs)
+    k = np.searchsorted(ends, index, side="right")
+    return index - (ends - runs)[k], first + k
 
 
 def _fit_one(test_curve: Curve, target_curve: Curve, epsilon, *fields: str) -> list:

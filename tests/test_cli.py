@@ -386,6 +386,23 @@ class TestCountsCommand:
             assert "contradicts" not in err
             assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("doc", ["[300]", '"sweep"', "null"])
+    def test_a_manifest_that_is_not_a_json_object_is_a_file_error(
+        self, tmp_path, bank300_csv, capsys, doc
+    ):
+        # [300] once read as a manifest without bank_m, so a bank300 sweep passed as m = 120.
+        sweep_csv = tmp_path / "s.csv"
+        assert main(["sweep", "--bank", str(bank300_csv), "--seed", "7", "--n-from", "30", "--n-to", "30",
+                     "--K", "100", "--modes", "exceeding", "-o", str(sweep_csv)]) == EXIT_OK
+        manifest = tmp_path / "s.csv.manifest.json"
+        manifest.write_text(doc)
+        capsys.readouterr()
+        code = main(["counts", "--sweep", str(sweep_csv), "--m", "120", "--modes", "exceeding",
+                     "-o", str(tmp_path / "c.csv")])
+        assert code == EXIT_IO
+        assert f"{manifest}: a manifest must be a JSON object, got {doc}" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_a_matching_integer_bank_size_passes(self, tmp_path):
         sweep_csv = tmp_path / "sweep.csv"
         write_unit_sweep(sweep_csv, [2, 3], m=12)

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,18 +10,27 @@ from fixedform import (
     DEFAULT_EPSILON,
     ENUMERATION_BUDGET,
     NO_ESTIMATE,
+    AbilityGrid,
     BankGenSpec,
     BudgetError,
     CountCurve,
+    Curve,
     ParameterError,
+    TargetSpec,
     TestForm,
     binom_total,
+    builtin_lsat_target,
     enumerate_exact,
     extrapolate_counts,
     fit_report,
     generate_bank,
+    information_matrix,
+    tabulate_target,
     test_information,
+    trapezoid_weights,
 )
+from fixedform import counts as counts_module
+from fixedform.metrics import _l2_rows, _MeetingRule
 
 
 class TestBinomTotal:
@@ -216,7 +226,7 @@ class TestEnumerateMatchesPerFormRecount:
             assert counts._asdict() == {"total": counts.total, **recount(bank12, n, scaled_curve_12, epsilon)}
 
     def test_several_chunks_ending_in_a_partial_one(self, scaled_curve_12):
-        # C(16, 5) = 4,368 forms: eight full 512-form chunks and one of 272.
+        # C(16, 5) = 4,368 forms: more than one 4,096-form block, so the last level is split.
         bank16 = generate_bank(BankGenSpec(m=16, seed=6))
         counts = enumerate_exact(bank16, 5, scaled_curve_12, DEFAULT_EPSILON)
         assert counts.total == 4368
@@ -237,3 +247,141 @@ class TestEnumerateMatchesPerFormRecount:
     def test_bad_epsilon_is_refused_up_front(self, bank12, scaled_curve_12):
         with pytest.raises(ParameterError, match="epsilon"):
             enumerate_exact(bank12, 4, scaled_curve_12, 0.0)
+
+
+SCALES = (0.02, 0.05, 0.1, 0.3)
+EPSILONS = (0.3, DEFAULT_EPSILON, 3.0)
+
+
+def scaled_lsat(scale):
+    return tabulate_target(TargetSpec(tuple(c * scale for c in builtin_lsat_target().coefficients)), AbilityGrid())
+
+
+def assert_matches_recount(bank, n, target_curve, epsilon):
+    exact = enumerate_exact(bank, n, target_curve, epsilon)
+    assert exact._asdict() == {"total": math.comb(bank.m, n), **recount(bank, n, target_curve, epsilon)}
+    return exact
+
+
+class TestPrefixWalkMatchesPerFormRecount:
+    """The walk by shared prefixes and the three-sum meeting rule count what the per-form reports count."""
+
+    @pytest.mark.parametrize("m, n", [(16, 4), (18, 3)])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_banks_16_and_18(self, m, n, scale):
+        bank = generate_bank(BankGenSpec(m=m, seed=6))
+        for epsilon in EPSILONS:
+            assert_matches_recount(bank, n, scaled_lsat(scale), epsilon)
+
+    @pytest.mark.parametrize("m", [16, 18])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_edge_lengths(self, m, scale):
+        bank = generate_bank(BankGenSpec(m=m, seed=6))
+        for n, epsilon in itertools.product((1, m), EPSILONS):
+            assert_matches_recount(bank, n, scaled_lsat(scale), epsilon)
+
+    @pytest.mark.parametrize("num_points", [5, 9])
+    def test_more_items_than_grid_nodes(self, bank12, scaled_target_12, num_points):
+        # With m > N a row carries its weighted curve instead of its row of G.
+        target = tabulate_target(scaled_target_12, AbilityGrid(num_points=num_points))
+        for n in range(1, bank12.m + 1):
+            assert_matches_recount(bank12, n, target, DEFAULT_EPSILON)
+
+    def test_counts_do_not_depend_on_the_block_sizes(self, bank12, scaled_curve_12, monkeypatch):
+        # Blocks this small split every level of the walk, down to single prefixes.
+        monkeypatch.setattr(counts_module, "_BLOCK_FORMS", 5)
+        monkeypatch.setattr(counts_module, "_BLOCK_SUMS", 60)
+        for n in range(1, bank12.m + 1):
+            assert_matches_recount(bank12, n, scaled_curve_12, DEFAULT_EPSILON)
+
+
+class TestBoundaryForms:
+    """Forms exactly on a class boundary, where only the full curve can decide."""
+
+    grid = AbilityGrid()
+    weights = trapezoid_weights(grid)
+
+    def form_curve(self, bank, ids):
+        return test_information(bank, TestForm(ids), self.grid)
+
+    def test_epsilon_equal_to_a_forms_l2(self, bank12, scaled_curve_12):
+        curve = self.form_curve(bank12, (1, 4, 7, 9))
+        l2 = fit_report(curve, scaled_curve_12, 1.0).l2
+        above = np.nextafter(l2, math.inf)
+        assert not fit_report(curve, scaled_curve_12, l2).absolute
+        assert fit_report(curve, scaled_curve_12, above).absolute
+        at = assert_matches_recount(bank12, 4, scaled_curve_12, l2)
+        assert assert_matches_recount(bank12, 4, scaled_curve_12, above).absolute > at.absolute
+
+    def test_epsilon_equal_to_a_forms_relative_distance(self, bank12, scaled_curve_12):
+        curve = self.form_curve(bank12, (0, 3, 5, 10))
+        # The scaled distance exactly as fit_batch computes it.
+        target = scaled_curve_12.values
+        lam = float((target * self.weights).sum()) / (curve.values[None, :] * self.weights).sum(axis=1)
+        assert lam[0] < 1.0
+        scaled = lam[:, None] * curve.values[None, :]
+        scaled -= target
+        distance = float(_l2_rows(scaled, self.weights)[0])
+        above = np.nextafter(distance, math.inf)
+        assert not fit_report(curve, scaled_curve_12, distance).relative
+        assert fit_report(curve, scaled_curve_12, above).relative
+        at = assert_matches_recount(bank12, 4, scaled_curve_12, distance)
+        assert assert_matches_recount(bank12, 4, scaled_curve_12, above).relative > at.relative
+
+    def test_target_equal_to_a_forms_curve(self, bank12):
+        # That form has l2 = 0, lambda = 1 exactly and no node strictly above.
+        target = Curve(self.grid, self.form_curve(bank12, (2, 5, 6, 11)).values)
+        for epsilon in EPSILONS:
+            assert_matches_recount(bank12, 4, target, epsilon)
+
+    @pytest.mark.parametrize("node", [0, 56, 61, 120])
+    def test_target_touching_a_form_at_one_node(self, bank12, node):
+        # Nodes 0, 56 and 120 are screened, 61 is not.
+        curve = self.form_curve(bank12, (0, 2, 7, 8)).values
+        values = 0.9 * curve
+        values[node] = curve[node]
+        target = Curve(self.grid, values)
+        assert np.delete(curve > values, node).all()
+        assert not fit_report(Curve(self.grid, curve), target, 1.0).exceeding
+        for epsilon in EPSILONS:
+            assert_matches_recount(bank12, 4, target, epsilon)
+
+
+class TestMeetingRuleMargin:
+    """_MeetingRule decides a form only where its sums clear the boundary by the margin."""
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        info = information_matrix(generate_bank(BankGenSpec(m=3, seed=1)), AbilityGrid())
+        return _MeetingRule(info, scaled_lsat(0.05), 1.5)
+
+    @staticmethod
+    def sums_at(rule, offsets, a=7.0):
+        """a and b whose q = a - 2b + T lies ``offsets`` margins from eps**2."""
+        b = (a + rule.target_norm - rule.eps2) / 2.0
+        margin = 1e-9 * (a + 2.0 * abs(b) + rule.target_norm + rule.eps2)
+        offsets = np.asarray(offsets)
+        return np.full(len(offsets), a), b - offsets * margin / 2.0
+
+    def test_absolute_is_decided_only_outside_the_margin(self, rule):
+        a, b = self.sums_at(rule, [-2.0, -0.5, 0.0, 0.5, 2.0])
+        hit, miss = rule.clear(a, b)
+        assert hit.tolist() == [True, False, False, False, False]
+        assert miss.tolist() == [False, False, False, False, True]
+        decided_hit, undecided = rule.decide(a, b, np.ones(len(a)))["absolute"]
+        assert decided_hit.tolist() == hit.tolist()
+        assert undecided.tolist() == [False, True, True, True, False]
+
+    def test_a_nan_is_left_open(self, rule):
+        nan = np.array([math.nan])
+        for hit, undecided in rule.decide(nan, nan, nan).values():
+            assert hit.tolist() == [False] and undecided.tolist() == [True]
+
+    def test_relative_is_decided_only_where_lambda_clears_one(self, rule):
+        lam = np.array([1.0 + 2e-9, 1.0 + 0.5e-9, 1.0, 1.0 - 0.5e-9, 1.0 - 2e-9, 0.5])
+        # Forms that fit exactly at their own lambda, q(lambda) = 0, so lambda alone decides.
+        a = np.ones(len(lam))
+        b = (lam * lam * a + rule.target_norm) / (2.0 * lam)
+        hit, undecided = rule.decide(a, b, rule.s_target / lam)["relative"]
+        assert hit.tolist() == [False, False, False, False, True, True]
+        assert undecided.tolist() == [False, True, True, True, False, False]

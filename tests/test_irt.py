@@ -221,6 +221,14 @@ class TestFormCurves:
                 expected = test_information(bank300, TestForm.from_ids(row), grid).values
                 assert curve.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int16, np.int32, np.int64])
+    def test_any_integer_id_dtype_gives_the_same_bits(self, bank300, grid, dtype):
+        # The sampler draws uint16 ids for 300 items; the curves must not depend on the id dtype.
+        rng = np.random.default_rng(5)
+        info = information_matrix(bank300, grid)
+        ids = np.array([rng.permutation(bank300.m)[:40] for _ in range(30)])
+        assert form_curves(info, ids.astype(dtype)).tobytes() == form_curves(info, ids).tobytes()
+
     def test_does_not_modify_the_matrix(self, bank12, grid):
         info = information_matrix(bank12, grid)
         before = info.copy()
