@@ -184,8 +184,15 @@ def _prob(a, b, c, theta):
 
 def _information(a, b, c, theta):
     p = _prob(a, b, c, theta)
+    slope = a * (p - c) / (1.0 - c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        info = (a * (p - c) / (1.0 - c)) ** 2 * ((1.0 - p) / p)
+        with np.errstate(over="ignore"):
+            odds = (1.0 - p) / p
+        info = slope**2 * odds
+        # Far below b with c == 0, p can be so small that 1 / p overflows while
+        # slope**2 underflows; there the same value is slope * (slope / p) * (1 - p).
+        if (far := ~np.isfinite(odds)).any():
+            info = np.where(far, slope * (slope / p) * (1.0 - p), info)
     # p underflows to 0 only when c == 0 far below b, where the limit is 0.
     return np.where(p > 0.0, info, 0.0)
 
@@ -211,10 +218,23 @@ def information_matrix(bank: ItemBank, grid: AbilityGrid) -> np.ndarray:
     curve is the sum of the rows its ids select, which makes this the
     workhorse for bulk sampling and annealing.
     """
-    a = bank.a_values[:, None]
-    b = bank.b_values[:, None]
-    c = bank.c_values[:, None]
-    return _information(a, b, c, grid.nodes[None, :])
+    return _item_rows(bank, np.arange(bank.m), grid)
+
+
+def _item_rows(bank: ItemBank, ids: np.ndarray, grid: AbilityGrid) -> np.ndarray:
+    """The information curves of items ``ids``, one row each; refuses an item whose curve is not finite."""
+    a = bank.a_values[ids][:, None]
+    b = bank.b_values[ids][:, None]
+    c = bank.c_values[ids][:, None]
+    # A huge discrimination overflows the squared slope to inf (and inf * 0 to NaN).
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _information(a, b, c, grid.nodes[None, :])
+    if not (finite := np.isfinite(rows).all(axis=1)).all():
+        i = int(ids[np.argmin(finite)])
+        item = bank.items[i]
+        raise ParameterError(f"item {i} (a={item.a!r}, b={item.b!r}, c={item.c!r}) has information "
+                             f"that is not finite on the ability grid")
+    return rows
 
 
 def form_curves(info: np.ndarray, ids) -> np.ndarray:
@@ -246,10 +266,7 @@ def test_information(bank: ItemBank, test: TestForm, grid: AbilityGrid) -> Curve
     """Test information curve: nodewise sum of the items' information."""
     idx = np.asarray(test.item_ids, dtype=np.intp)
     check_items(idx, bank.m)
-    a = bank.a_values[idx][:, None]
-    b = bank.b_values[idx][:, None]
-    c = bank.c_values[idx][:, None]
-    return Curve(grid, _information(a, b, c, grid.nodes[None, :]).sum(axis=0))
+    return Curve(grid, _item_rows(bank, idx, grid).sum(axis=0))
 
 
 def standard_error(info: float) -> float:

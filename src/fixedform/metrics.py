@@ -13,9 +13,16 @@ outright (strictly above the target at every node).
 
 ``count_hits`` counts the forms of each class among many. It first screens
 them on at most 16 of the grid's nodes: a form whose curve there already
-rules out every requested class is dropped, exactly, without its full
-curve; only the survivors get ``form_curves`` on every node and
-``fit_batch``. The screen changes no count.
+rules out every requested class is dropped without its full curve. The
+survivors get their full curves in float32, from a float32 copy of the
+information matrix, and a float32 curve decides a class wherever it lies
+outside the rounding band that ``_Band`` proves around the float64 curve;
+only a form inside it gets its float64 ``form_curves`` curve and
+``fit_batch``. Where that proof does not hold (information < 0, a target <=
+0 somewhere, curves near float32's range), and once the band leaves a
+quarter of a block open, the screen runs exactly on float64 curves
+(``_Screen``) and every survivor gets ``fit_batch``. No stage changes a
+count.
 
 ``FormSums`` counts them over every form of a bank, for exact enumeration.
 A form is kept as running sums over its items, built once for all the forms
@@ -69,11 +76,13 @@ FIT_FIELDS = ("l2", "lambda", "energy", "exceeding", "absolute", "relative")
 # command and file lists them.
 MODES = ("absolute", "relative", "exceeding")
 
-# Curves materialized at once by count_hits; counts do not depend on it.
+# Float64 curves materialized at once by count_hits; counts do not depend on it.
 # 256 curves (0.25 MB at 121 nodes) stay in cache while form_curves adds rows.
 _CURVE_BATCH = 256
 
-# Forms screened at once by count_hits; counts do not depend on it either.
+# Forms screened, and then decided on float32 curves (0.5 MB at 121 nodes), at
+# once by count_hits; counts do not depend on it either. Deciding them 512 at a
+# time cut the two-thread sweep's peak RSS by 2 MB but made it 9% slower.
 # The screen pays numpy's per-call cost once per column of a form, so at 256
 # rows the sweep ran barely faster than with no screen. At 2048 rows its peak
 # memory grew by about a quarter for little more speed.
@@ -148,8 +157,9 @@ def fit_batch(
     Computes only the requested ``FIT_FIELDS`` names, one length-k array
     each; "absolute" and "relative" need ``epsilon`` (not validated here).
     Rows match the scalar functions bit for bit: same operations, same
-    order. A zero-area row gets an infinite or NaN lambda and is not
-    relatively meeting.
+    order. A zero-area row gets an infinite or NaN lambda, and a row whose
+    area is too small for the ratio an infinite one; neither is relatively
+    meeting.
     """
     target = target_curve.values
     weights = trapezoid_weights(target_curve.grid)
@@ -164,7 +174,7 @@ def fit_batch(
         out["energy"] = deficiency_rows(curves, target, weights)
     if "lambda" in fields or "relative" in fields:
         s_target = float((target * weights).sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out["lambda"] = lam = s_target / (curves * weights).sum(axis=1)
             if "relative" in fields:
                 scaled = lam[:, None] * curves
@@ -202,27 +212,27 @@ class _Screen:
       sum_all w*t**2), and the rounding of the sums, of lambda^ and of the
       cancellation is a few G*u times that: far inside the margin. A row
       that is zero on S makes lambda^ NaN and is kept.
+
+    ``misses`` can widen eps by a per-row slack; ``_Band`` uses that to apply
+    the meeting rules to float32 curves.
     """
 
     def __init__(self, info: np.ndarray, target_curve: Curve, epsilon: float | None,
                  classes: tuple[str, ...]) -> None:
-        nodes = _screen_nodes(target_curve.grid.num_points)
+        self.nodes = nodes = _screen_nodes(target_curve.grid.num_points)
         weights = trapezoid_weights(target_curve.grid)
         target = target_curve.values
         self.info = info[:, nodes]
         self.classes = classes
+        self.epsilon = epsilon
         self.target = target[nodes]
         self.weights = weights[nodes]
         self.weighted_target = self.weights * self.target
         self.target_norm = float(self.weighted_target @ self.target)
+        self.full_norm = float((target * target * weights).sum())
         # Row reductions over S run as matrix-vector products: numpy's row
         # sums and any() cost several times more on rows this short.
         self.all_nodes = np.ones(len(nodes), dtype=bool)
-        if "absolute" in classes:
-            self.absolute_limit = epsilon * epsilon * (1.0 + 1e-9)
-        if "relative" in classes:
-            full_norm = float((target * target * weights).sum())
-            self.relative_limit = epsilon * epsilon + 1e-9 * (epsilon * epsilon + full_norm)
 
     def survivors(self, ids: np.ndarray) -> np.ndarray:
         """The rows of ``ids`` that S cannot rule out of every class."""
@@ -230,20 +240,132 @@ class _Screen:
 
     def keep(self, curves: np.ndarray) -> np.ndarray:
         """Which rows of ``curves``, forms' values on S, S cannot rule out of every class."""
-        keep = np.zeros(len(curves), dtype=bool)
+        return _kept(self.misses(curves))
+
+    def misses(self, curves: np.ndarray, slack: np.ndarray | float = 0.0) -> dict[str, np.ndarray]:
+        """Per class, which rows of ``curves``, forms' values on S, S rules out, eps widened by ``slack``."""
+        out = {}
         if "exceeding" in self.classes:
-            keep |= ~((curves <= self.target) @ self.all_nodes)
+            out["exceeding"] = (curves <= self.target) @ self.all_nodes
+        if "absolute" in self.classes or "relative" in self.classes:
+            eps = self.epsilon + slack
+            eps2 = eps * eps
         if "absolute" in self.classes:
             diff = curves - self.target
             diff *= diff
-            keep |= ~(diff @ self.weights > self.absolute_limit)
+            out["absolute"] = diff @ self.weights > eps2 * (1.0 + _MARGIN)
         if "relative" in self.classes:
             a = (curves * curves) @ self.weights
             b = curves @ self.weighted_target
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam = np.minimum(b / a, 1.0)
-            keep |= ~((lam * a - 2.0 * b) * lam + self.target_norm > self.relative_limit)
-        return keep
+            q = (lam * a - 2.0 * b) * lam + self.target_norm
+            out["relative"] = q > eps2 + _MARGIN * (eps2 + self.full_norm)
+        return out
+
+
+class _Band:
+    """Float32 curves, and where they decide a form's classes as its float64 curve does.
+
+    Let c64 be a form's ``form_curves`` curve on ``info`` and c32 its curve
+    on ``info`` rounded to float32, both n-term sums left to right, and t
+    the target. At every node
+
+        |c32 - c64| <= beta = 2*(n + 2)*u*c32 + n*2**-148,   u = 2**-24.
+
+    Why: let x be the n float64 terms (all >= 0), X their exact sum and Y
+    the exact sum of their float32 roundings. Each rounding moves a term by
+    at most u*x, or by 2**-150 where it lands below float32's normal range,
+    so |Y - X| <= u*X + n*2**-150. A recursive sum of n terms >= 0 is within
+    gamma_(n-1) = (n - 1)*u'/(1 - (n - 1)*u') of the exact sum, relatively,
+    u' its unit roundoff (Higham 2002, sec. 4.2): c32 of Y, c64 of X.
+    Bounding X and Y through c32, |c32 - c64| <= (8/7)*n*u*c32 + n*2**-150*
+    (1 + 2u) while n*u <= 1/16. beta is at least 7/4 of that; the excess
+    covers the float64 rounding of beta and of the bounds below. The
+    argument needs info >= 0, no overflow in float32 (n * max(info) <
+    2**120) and gradual underflow.
+
+    - exceeding: a hit where c32 > hit_floor, (t + n*2**-148) / (1 - 2*(n +
+      2)*u) rounded up to float32, at every node: then c64 >= c32 - beta >
+      t. A miss where c32 <= miss_ceiling, (t - n*2**-148) / (1 + 2*(n +
+      2)*u) rounded down, at some node: then c64 <= c32 + beta <= t.
+    - absolute: on the screen nodes S, |c64 - t|_S >= |c32 - t|_S - B by
+      the triangle inequality in the weighted norm, B = |beta|_S <= 2*(n +
+      2)*u*|c32|_S + n*2**-148*|1|_S. So ``_Screen``'s rule, with eps + B
+      for eps, rules out only forms whose screened distance on c64 exceeds
+      eps by about 1e-9/2 relatively, which ``_Screen``'s argument makes
+      misses of ``fit_batch``.
+    - relative: a hit's lambda = S_t / area lies in (0, 1), the target
+      being > 0, so |lambda*c32 - t|_S <= |lambda*c64 - t|_S + B, and
+      ``_Screen``'s argument holds for c32 with eps + B for eps.
+
+    Every other form is left open, for ``fit_batch`` on its float64 curve.
+    """
+
+    def __init__(self, info: np.ndarray, n: int, target_curve: Curve, epsilon: float | None,
+                 classes: tuple[str, ...]) -> None:
+        target = target_curve.values
+        self.info = info.astype(np.float32)
+        self.exceeding = "exceeding" in classes
+        # The meeting classes' rules are _Screen's; exceeding's work on the float32 bounds.
+        self.meeting = _Screen(info, target_curve, epsilon, tuple(c for c in classes if c != "exceeding"))
+        self.screen_info = self.info[:, self.meeting.nodes]
+        # beta = relative * c32 + absolute; its weighted norm on S is at most
+        # relative * |c32|_S + absolute_norm.
+        self.relative = 2.0 * (n + 2) * 2.0**-24
+        self.absolute = n * 2.0**-148
+        self.absolute_norm = self.absolute * math.sqrt(float(self.meeting.weights.sum()))
+        self.hit_floor = _float32_toward((target + self.absolute) / (1.0 - self.relative), np.inf)
+        self.miss_ceiling = _float32_toward((target - self.absolute) / (1.0 + self.relative), -np.inf)
+        self.screen_ceiling = self.miss_ceiling[self.meeting.nodes]
+        self.all_nodes = np.ones(len(target), dtype=bool)
+
+    @classmethod
+    def build(cls, info: np.ndarray, n: int, target_curve: Curve, epsilon: float | None,
+              classes: tuple[str, ...]) -> _Band | None:
+        """The band for n-item forms, or None where its argument does not hold."""
+        target = target_curve.values
+        fits = (info.min() >= 0.0 and target.min() > 0.0 and n <= 2**20
+                and max(n * info.max(), target.max()) < 2.0**120)
+        return cls(info, n, target_curve, epsilon, classes) if fits else None
+
+    def _meeting_misses(self, screened: np.ndarray) -> dict[str, np.ndarray]:
+        # Per meeting class, which rows of float32 ``screened``, forms' values on S, the band rules out.
+        if not self.meeting.classes:
+            return {}
+        values = screened.astype(np.float64)
+        slack = self.relative * np.sqrt((values * values) @ self.meeting.weights) + self.absolute_norm
+        return self.meeting.misses(values, slack)
+
+    def survivors(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of ``ids`` that the band on S cannot rule out of every class."""
+        curves = form_curves(self.screen_info, ids)
+        misses = self._meeting_misses(curves)
+        if self.exceeding:
+            misses["exceeding"] = (curves <= self.screen_ceiling) @ self.meeting.all_nodes
+        return ids[_kept(misses)]
+
+    def decide(self, curves: np.ndarray) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+        """(hits, open): per class, the hits the band proves among float32 ``curves`` and the rows it leaves open."""
+        misses = self._meeting_misses(curves[:, self.meeting.nodes])
+        hits = dict.fromkeys(misses, 0)
+        if self.exceeding:
+            hit = ~((curves <= self.hit_floor) @ self.all_nodes)
+            hits["exceeding"] = int(np.count_nonzero(hit))
+            misses["exceeding"] = hit | (curves <= self.miss_ceiling) @ self.all_nodes
+        return hits, {name: ~decided for name, decided in misses.items()}
+
+
+def _kept(misses: dict[str, np.ndarray]) -> np.ndarray:
+    """Which rows some class's ``misses`` mask does not rule out."""
+    return ~np.logical_and.reduce(list(misses.values()))
+
+
+def _float32_toward(values: np.ndarray, limit: float) -> np.ndarray:
+    """``values`` rounded to float32 toward ``limit``, +inf or -inf."""
+    rounded = values.astype(np.float32)
+    past = rounded < values if limit > 0 else rounded > values
+    return np.where(past, np.nextafter(rounded, np.float32(limit)), rounded)
 
 
 def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
@@ -251,27 +373,46 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
     """Hits per fit class in ``classes`` among the forms whose item ids are the rows of ``ids``.
 
     ``classes`` is a subset of ``MODES``; the meeting classes need a finite
-    ``epsilon`` > 0. Forms are screened on a node subset first (see
-    ``_Screen``); the counts are those of ``fit_batch`` on every form's full
-    curve.
+    ``epsilon`` > 0. Where ``_Band``'s argument holds (information >= 0, a
+    target > 0 at every node and curves far inside float32's range), forms
+    are screened on a node subset and then decided on float32 curves, and
+    only a form the band leaves open gets its float64 curve. Elsewhere, and
+    for the rest of the call once the band leaves more than a quarter of a
+    block open, forms are screened exactly (see ``_Screen``) and every
+    survivor gets its float64 curve. Either way the counts are those of
+    ``fit_batch`` on every form's float64 curve.
     """
     classes = check_modes(classes)
     if "absolute" in classes or "relative" in classes:
         check_epsilon(epsilon)
-    screen = _Screen(info, target_curve, epsilon, classes)
+    band = _Band.build(info, ids.shape[1], target_curve, epsilon, classes)
+    screen = _Screen(info, target_curve, epsilon, classes) if band is None else band
     screening = True
     hits = dict.fromkeys(classes, 0)
     for lo in range(0, len(ids), _SCREEN_BATCH):
         block = ids[lo : lo + _SCREEN_BATCH]
         survivors = screen.survivors(block) if screening else block
-        # The screen costs about a quarter of the full gather, so once it keeps
-        # more than three quarters of a block the rest of the call skips it.
+        # The screen costs a quarter to a third of the full gather, so once it
+        # keeps more than three quarters of a block the rest of the call skips it.
         screening = screening and 4 * len(survivors) <= 3 * len(block)
-        for start in range(0, len(survivors), _CURVE_BATCH):
-            fit = fit_batch(form_curves(info, survivors[start : start + _CURVE_BATCH]),
-                            target_curve, epsilon, classes)
-            for name in classes:
-                hits[name] += int(fit[name].sum())
+        if band is None:
+            undecided = dict.fromkeys(classes, np.ones(len(survivors), dtype=bool))
+        else:
+            decided, undecided = band.decide(form_curves(band.info, survivors))
+            for name, count in decided.items():
+                hits[name] += count
+        rows = np.flatnonzero(np.logical_or.reduce(list(undecided.values())))
+        for start in range(0, len(rows), _CURVE_BATCH):
+            batch = rows[start : start + _CURVE_BATCH]
+            open_classes = tuple(name for name in classes if undecided[name][batch].any())
+            fit = fit_batch(form_curves(info, survivors[batch]), target_curve, epsilon, open_classes)
+            for name in open_classes:
+                hits[name] += int(np.count_nonzero(fit[name] & undecided[name][batch]))
+        # The band proves no meeting hit, so where they are common most forms
+        # need float64 curves anyway. Once the band leaves more than a quarter
+        # of a block open, the rest of the call takes the float64 path.
+        if band is not None and 4 * len(rows) > len(block):
+            band, screen = None, _Screen(info, target_curve, epsilon, classes)
     return hits
 
 

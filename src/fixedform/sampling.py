@@ -122,11 +122,18 @@ def _chunk_count(draws: int) -> int:
     return -(-draws // _CHUNK)
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 @contextmanager
 def _pool(workers: int, chunks: int):
-    """A pool of ``min(workers, chunks, CPUs)`` threads, or None where that is one."""
+    """A pool of ``min(workers, chunks, usable CPUs)`` threads, or None where that is one."""
     # pool.map submits every chunk at once: threads past the CPUs only hold chunk buffers.
-    workers = min(workers, chunks, os.cpu_count() or 1)
+    workers = min(workers, chunks, _usable_cpus() or 1)
     if workers == 1:
         yield None
     else:

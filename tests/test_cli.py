@@ -779,6 +779,34 @@ def test_an_overflowing_target_is_a_usage_error_without_warnings(tmp_path, bank1
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("args, out", [
+    (["sweep", "--n-from", "3", "--n-to", "4", "--K", "100", "--seed", "1"], "s.csv"),
+    (["enumerate", "--n", "3"], "e.json"),
+    (["assemble", "--n", "4", "--seed", "1"], "a.json"),
+])
+def test_a_bank_with_infinite_information_is_a_usage_error_without_warnings(tmp_path, capsys, args, out):
+    # a = 1e200 squares to inf: the information matrix would hold NaN and inf.
+    bank = tmp_path / "bank.csv"
+    assert main(["gen-bank", "--m", "12", "--a-min", "1e200", "--a-max", "1e200", "--seed", "1",
+                 "-o", str(bank)]) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*args, "--bank", str(bank), "-o", str(tmp_path / out)])
+    assert code == EXIT_USAGE
+    assert "item 0 (a=1e+200" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / out).exists()
+
+
+def test_a_bank_whose_information_underflows_is_accepted(tmp_path, capsys):
+    bank = tmp_path / "bank.csv"
+    assert main(["gen-bank", "--m", "12", "--a-min", "1e20", "--a-max", "1e20", "--seed", "1",
+                 "-o", str(bank)]) == EXIT_OK
+    assert main(["enumerate", "--bank", str(bank), "--n", "3", "-o", str(tmp_path / "e.json")]) == EXIT_OK
+    assert json.loads((tmp_path / "e.json").read_text())["N_E"] == 0
+
+
 class TestAssembleOutputs:
     def test_bad_epsilon_fails_before_annealing(self, tmp_path, bank12_csv, capsys, monkeypatch):
         def no_anneal(*args, **kwargs):

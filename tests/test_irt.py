@@ -205,6 +205,28 @@ class TestTestInformation:
         with pytest.raises(UnknownItemError):
             test_information(bank12, TestForm.from_ids([0, 99]), grid)
 
+    def test_far_tail_without_guessing_stays_finite(self, grid):
+        # a * (theta - b) reaches -711 at theta = -3: p is subnormal there, so 1 / p overflows.
+        item = ItemParams(a=17.1, b=38.58, c=0.0)
+        row = information_matrix(ItemBank((item,)), grid)[0]
+        p = prob_correct(item, grid.node(0))
+        assert 0.0 < p < np.finfo(float).tiny
+        assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
+        assert row[0] == pytest.approx(item.a**2 * p, rel=1e-6)
+
+    def test_information_that_is_not_finite_names_its_item(self, grid):
+        bank = ItemBank((ItemParams(1.0, 0.0), ItemParams(1e20, 0.2), ItemParams(1e200, 0.5)))
+        # Without a warning: pytest makes numpy's overflow warning an error.
+        with pytest.raises(ParameterError, match=r"item 2 \(a=1e\+200"):
+            information_matrix(bank, grid)
+        with pytest.raises(ParameterError, match=r"item 2 \(a=1e\+200"):
+            test_information(bank, TestForm.from_ids([0, 2]), grid)
+        # a = 1e20 underflows to 0 information, which is finite.
+        underflowing = ItemBank(bank.items[:2])
+        assert information_matrix(underflowing, grid)[1].max() == 0.0
+        assert test_information(underflowing, TestForm.from_ids([0, 1]), grid).values.tobytes() == \
+            test_information(underflowing, TestForm.from_ids([0]), grid).values.tobytes()
+
 
 class TestFormCurves:
     def test_bitwise_equal_to_test_information(self, bank300, grid):

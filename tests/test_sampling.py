@@ -133,7 +133,7 @@ class TestWorkers:
         assert pool_sizes == []
 
     def test_pool_is_capped_at_the_chunk_count(self, bank12, scaled_curve_12, pool_sizes, monkeypatch):
-        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
         serial = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12, seed=4)
         assert pool_sizes == []
         capped = estimate_mu(bank12, 4, 2 * _CHUNK + 5, "exceeding", scaled_curve_12,
@@ -154,12 +154,20 @@ class TestWorkers:
         self, bank12, scaled_curve_12, pool_sizes, monkeypatch, cpus, sizes
     ):
         # 1,221 chunks at 64 workers: without the cap, a thread per worker.
-        monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(sampling, "_length_hits", lambda info, n, draws_by_mode, *args:
                             dict.fromkeys(draws_by_mode, 0))
         estimate_mu(bank12, 4, 10**7, "exceeding", scaled_curve_12, workers=64)
         sweep(bank12, [3, 4], scaled_curve_12, 1.0, 0, 10**7, 10**7, workers=64)
         assert pool_sizes == sizes
+
+    def test_usable_cpus_are_the_affinity_set_where_there_is_one(self, monkeypatch):
+        # Under `taskset -c 0` on a 2-CPU machine the CPU count is 2 but the process may use 1.
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sampling._usable_cpus() == 1
+        monkeypatch.delattr(sampling.os, "sched_getaffinity")
+        assert sampling._usable_cpus() == 2
 
 
 class TestEstimateValidation:
