@@ -30,7 +30,7 @@ from .errors import FileFormatError, FixedFormError, ParameterError
 from .files import dump_csv, dump_json, read_json, replacing, sha256, write_csv, write_json
 from .irt import AbilityGrid, Curve, check_length
 from .metrics import DEFAULT_EPSILON, MODES, check_epsilon, check_modes, fit_report
-from .sampling import read_sweep_csv, sweep, write_sweep_csv
+from .sampling import _pool_threads, read_sweep_csv, sweep, write_sweep_csv
 # perfbench/tracing.py patches these names on this module; keep them bound.
 from .counts import extrapolate_counts  # noqa: F401
 from .irt import test_information  # noqa: F401
@@ -228,7 +228,9 @@ def _cmd_sweep(args) -> tuple[int, str, dict]:
         workers=args.workers,
     )
     write_sweep_csv(rows, args.out)
-    return EXIT_OK, f"{len(rows)} lengths, modes {','.join(modes)}", {"bank_m": bank.m}
+    draws = max(k_exceeding if mode == "exceeding" else k_meeting for mode in modes)
+    facts = {"bank_m": bank.m, "threads": _pool_threads(args.workers, draws)}
+    return EXIT_OK, f"{len(rows)} lengths, modes {','.join(modes)}", facts
 
 
 def _cmd_assemble(args) -> tuple[int, str, dict]:

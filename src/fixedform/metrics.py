@@ -18,11 +18,16 @@ survivors get their full curves in float32, from a float32 copy of the
 information matrix, and a float32 curve decides a class wherever it lies
 outside the rounding band that ``_Band`` proves around the float64 curve;
 only a form inside it gets its float64 ``form_curves`` curve and
-``fit_batch``. Where that proof does not hold (information < 0, a target <=
-0 somewhere, curves near float32's range), and once the band leaves a
-quarter of a block open, the screen runs exactly on float64 curves
-(``_Screen``) and every survivor gets ``fit_batch``. No stage changes a
-count.
+``fit_batch``. The float32 curves, on the screen's nodes and then on the
+full grid, are products of the forms' 0/1 item indicator rows with the
+float32 matrix, 8 rows per BLAS call, where m <= 8 n, and ``form_curves``
+gathers elsewhere. The band holds for a sum of nonnegative terms in any
+order, so the products' order does not matter, and its absolute term, n *
+2**-125, also covers a BLAS kernel that flushes subnormals. Where that
+proof does not hold (information < 0, a target <= 0 somewhere, curves near
+float32's range), and once the band leaves a quarter of a block open, the
+screen runs exactly on float64 curves (``_Screen``) and every survivor gets
+``fit_batch``. No stage changes a count.
 
 ``FormSums`` counts them over every form of a bank, for exact enumeration.
 A form is kept as running sums over its items, built once for all the forms
@@ -90,6 +95,28 @@ _SCREEN_BATCH = 1024
 
 # Nodes in the screen's subset at most; every 8th node on the default grid.
 _SCREEN_NODES = 16
+
+# Indicator rows per BLAS product when _Band builds float32 curves as products.
+# A product this small runs on the calling thread, with the GIL released. On a
+# 2-vCPU VM a two-worker bank300 sweep (n = 30..110 step 20, K = 16,384, all
+# modes; median of 15 interleaved) took 187 ms at 8 rows, 190 ms at 16 and 289
+# ms at 32, where OpenBLAS's own threads fought the workers: about as slow as
+# gathering every curve (316 ms).
+_PRODUCT_ROWS = 8
+
+# _Band builds float32 curves as products where m <= _PRODUCT_RATIO * n, and by
+# form_curves's gather elsewhere: products cost work in m, the gather in n. On
+# one thread, per 8,192 forms (all modes, LSAT target; median of 7), product /
+# gather was 1.10 at m/n = 15, 0.94 at 10, 0.84 at 7.5 and 0.80 at 6 on bank300,
+# and 1.08 at 12.5, 1.04 at 10 and 0.78 at 8.3 on a 1,000-item bank.
+_PRODUCT_RATIO = 8
+
+# Indicator rows that _product_curves builds at once (300 KB at m = 300). In a
+# two-worker bank300 sweep (median of 10 alternating runs of 7 sweeps) building
+# a 1,024-form block's rows at once took 196 ms and added 5.8 MB of peak RSS,
+# 256 rows 199 ms and 2.9 MB, and 512 rows 201 ms and 3.9 MB; 128 rows ran
+# about 7% slower than 256 (8 runs).
+_INDICATOR_ROWS = 256
 
 # How far _MeetingRule needs a squared distance to clear eps**2, relative to
 # the size of its terms, and lambda to clear 1, before it decides a form.
@@ -267,31 +294,42 @@ class _Screen:
 class _Band:
     """Float32 curves, and where they decide a form's classes as its float64 curve does.
 
-    Let c64 be a form's ``form_curves`` curve on ``info`` and c32 its curve
-    on ``info`` rounded to float32, both n-term sums left to right, and t
-    the target. At every node
+    Let c64 be a form's ``form_curves`` curve on ``info``, summed left to
+    right, and c32 its curve on ``info`` rounded to float32, summed in any
+    order, and t the target. c32 is either ``form_curves``'s gather or the
+    product of the form's 0/1 item indicator row with the float32 matrix
+    (see ``_PRODUCT_RATIO``). In a product 0*x, 1*x and x + 0 are exact, and
+    a fused multiply-add rounds only its addition, so each output is a tree
+    of n - 1 rounded additions of disjoint subsets of the form's terms, in
+    whatever order the BLAS kernel chose. At every node
 
-        |c32 - c64| <= beta = 2*(n + 2)*u*c32 + n*2**-148,   u = 2**-24.
+        |c32 - c64| <= beta = 2*(n + 2)*u*c32 + n*2**-125,   u = 2**-24.
 
-    Why: let x be the n float64 terms (all >= 0), X their exact sum and Y
-    the exact sum of their float32 roundings. Each rounding moves a term by
-    at most u*x, or by 2**-150 where it lands below float32's normal range,
-    so |Y - X| <= u*X + n*2**-150. A recursive sum of n terms >= 0 is within
-    gamma_(n-1) = (n - 1)*u'/(1 - (n - 1)*u') of the exact sum, relatively,
-    u' its unit roundoff (Higham 2002, sec. 4.2): c32 of Y, c64 of X.
-    Bounding X and Y through c32, |c32 - c64| <= (8/7)*n*u*c32 + n*2**-150*
-    (1 + 2u) while n*u <= 1/16. beta is at least 7/4 of that; the excess
-    covers the float64 rounding of beta and of the bounds below. The
-    argument needs info >= 0, no overflow in float32 (n * max(info) <
-    2**120) and gradual underflow.
+    Why: let x be the n float64 terms (all >= 0) and X their exact sum. Each
+    rounding to float32 moves a term by at most u*x + 2**-150. A kernel that
+    flushes subnormals loses at most some whole terms below 2**-126: a
+    flushed input is one, and a flushed sum of terms >= 0 lies below 2**-126
+    and so is made of them. Otherwise a float sum is exact where it is
+    subnormal. So c32 is a tree sum, with a rounding of at most u relatively
+    per addition, of float32 terms whose exact sum Y has |Y - X| <= u*X +
+    n*2**-126. A sum of n terms >= 0 in any order is within gamma_(n-1) =
+    (n - 1)*u'/(1 - (n - 1)*u') of the exact sum, relatively, u' its unit
+    roundoff (Higham 2002, sec. 4.2): c32 of Y, c64 of X. Bounding X and Y
+    through c32, |c32 - c64| <= (8/7)*n*u*c32 + n*2**-126*(1 + 2u) while
+    n*u <= 1/16. beta is at least 7/4 of that; the excess covers the float64
+    rounding of beta and of the bounds below. The argument needs info >= 0,
+    no overflow in float32 (n * max(info) < 2**120) and a row of n items: an
+    indicator row holds a repeated id once, so the products also count each
+    row's items (a column of ones), and a row with fewer than n is left
+    open.
 
-    - exceeding: a hit where c32 > hit_floor, (t + n*2**-148) / (1 - 2*(n +
+    - exceeding: a hit where c32 > hit_floor, (t + n*2**-125) / (1 - 2*(n +
       2)*u) rounded up to float32, at every node: then c64 >= c32 - beta >
-      t. A miss where c32 <= miss_ceiling, (t - n*2**-148) / (1 + 2*(n +
+      t. A miss where c32 <= miss_ceiling, (t - n*2**-125) / (1 + 2*(n +
       2)*u) rounded down, at some node: then c64 <= c32 + beta <= t.
     - absolute: on the screen nodes S, |c64 - t|_S >= |c32 - t|_S - B by
       the triangle inequality in the weighted norm, B = |beta|_S <= 2*(n +
-      2)*u*|c32|_S + n*2**-148*|1|_S. So ``_Screen``'s rule, with eps + B
+      2)*u*|c32|_S + n*2**-125*|1|_S. So ``_Screen``'s rule, with eps + B
       for eps, rules out only forms whose screened distance on c64 exceeds
       eps by about 1e-9/2 relatively, which ``_Screen``'s argument makes
       misses of ``fit_batch``.
@@ -306,18 +344,28 @@ class _Band:
                  classes: tuple[str, ...]) -> None:
         target = target_curve.values
         self.info = info.astype(np.float32)
+        self.n = n
         self.exceeding = "exceeding" in classes
         # The meeting classes' rules are _Screen's; exceeding's work on the float32 bounds.
         self.meeting = _Screen(info, target_curve, epsilon, tuple(c for c in classes if c != "exceeding"))
-        self.screen_info = self.info[:, self.meeting.nodes]
+        nodes = self.meeting.nodes
+        self.product = len(info) <= _PRODUCT_RATIO * n
+        if self.product:
+            # Each table's last column, ones, counts an indicator row's items.
+            ones = np.ones((len(info), 1), dtype=np.float32)
+            self.screen_table = np.hstack([self.info[:, nodes], ones])
+            self.full_table = np.hstack([self.info, ones])
+        else:
+            self.screen_table = self.info[:, nodes]
+            self.full_table = self.info
         # beta = relative * c32 + absolute; its weighted norm on S is at most
         # relative * |c32|_S + absolute_norm.
         self.relative = 2.0 * (n + 2) * 2.0**-24
-        self.absolute = n * 2.0**-148
+        self.absolute = n * 2.0**-125
         self.absolute_norm = self.absolute * math.sqrt(float(self.meeting.weights.sum()))
         self.hit_floor = _float32_toward((target + self.absolute) / (1.0 - self.relative), np.inf)
         self.miss_ceiling = _float32_toward((target - self.absolute) / (1.0 + self.relative), -np.inf)
-        self.screen_ceiling = self.miss_ceiling[self.meeting.nodes]
+        self.screen_ceiling = self.miss_ceiling[nodes]
         self.all_nodes = np.ones(len(target), dtype=bool)
 
     @classmethod
@@ -329,6 +377,13 @@ class _Band:
                 and max(n * info.max(), target.max()) < 2.0**120)
         return cls(info, n, target_curve, epsilon, classes) if fits else None
 
+    def _curves(self, table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (curves, whole): float32 curves of the forms ``ids`` on ``table``'s nodes, and which rows hold n items.
+        if not self.product:
+            return form_curves(table, ids), np.ones(len(ids), dtype=bool)
+        out = _product_curves(table, ids)
+        return out[:, :-1], out[:, -1] == self.n
+
     def _meeting_misses(self, screened: np.ndarray) -> dict[str, np.ndarray]:
         # Per meeting class, which rows of float32 ``screened``, forms' values on S, the band rules out.
         if not self.meeting.classes:
@@ -339,21 +394,44 @@ class _Band:
 
     def survivors(self, ids: np.ndarray) -> np.ndarray:
         """The rows of ``ids`` that the band on S cannot rule out of every class."""
-        curves = form_curves(self.screen_info, ids)
+        curves, whole = self._curves(self.screen_table, ids)
         misses = self._meeting_misses(curves)
         if self.exceeding:
             misses["exceeding"] = (curves <= self.screen_ceiling) @ self.meeting.all_nodes
-        return ids[_kept(misses)]
+        return ids[_kept(misses) | ~whole]
 
-    def decide(self, curves: np.ndarray) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-        """(hits, open): per class, the hits the band proves among float32 ``curves`` and the rows it leaves open."""
+    def decide(self, ids: np.ndarray) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+        """(hits, open): per class, the hits the band proves among the forms ``ids`` and the rows it leaves open."""
+        curves, whole = self._curves(self.full_table, ids)
         misses = self._meeting_misses(curves[:, self.meeting.nodes])
         hits = dict.fromkeys(misses, 0)
         if self.exceeding:
-            hit = ~((curves <= self.hit_floor) @ self.all_nodes)
+            hit = whole & ~((curves <= self.hit_floor) @ self.all_nodes)
             hits["exceeding"] = int(np.count_nonzero(hit))
             misses["exceeding"] = hit | (curves <= self.miss_ceiling) @ self.all_nodes
-        return hits, {name: ~decided for name, decided in misses.items()}
+        return hits, {name: ~(decided & whole) for name, decided in misses.items()}
+
+
+def _product_curves(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Curves of the forms ``ids``: their float32 0/1 item indicator rows times ``table``.
+
+    An indicator row holds a repeated id once. Rows are built
+    ``_INDICATOR_ROWS`` at a time and multiplied ``_PRODUCT_ROWS`` per BLAS
+    call.
+    """
+    m, width = table.shape
+    out = np.empty((len(ids), width), dtype=np.float32)
+    for lo in range(0, len(ids), _INDICATOR_ROWS):
+        forms = ids[lo : lo + _INDICATOR_ROWS]
+        k = len(forms)
+        indicators = np.zeros((k, m), dtype=np.float32)
+        # One flat scatter: indexing by (row, id) pairs took twice as long.
+        indicators.reshape(-1)[(np.arange(k) * m)[:, None] + forms] = 1.0
+        head = k - k % _PRODUCT_ROWS
+        np.matmul(indicators[:head].reshape(-1, _PRODUCT_ROWS, m), table,
+                  out=out[lo : lo + head].reshape(-1, _PRODUCT_ROWS, width))
+        np.matmul(indicators[head:], table, out=out[lo + head : lo + k])
+    return out
 
 
 def _kept(misses: dict[str, np.ndarray]) -> np.ndarray:
@@ -375,8 +453,9 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
     ``classes`` is a subset of ``MODES``; the meeting classes need a finite
     ``epsilon`` > 0. Where ``_Band``'s argument holds (information >= 0, a
     target > 0 at every node and curves far inside float32's range), forms
-    are screened on a node subset and then decided on float32 curves, and
-    only a form the band leaves open gets its float64 curve. Elsewhere, and
+    are screened on a node subset and then decided on float32 curves
+    (indicator products where m <= 8 n, gathered elsewhere), and only a
+    form the band leaves open gets its float64 curve. Elsewhere, and
     for the rest of the call once the band leaves more than a quarter of a
     block open, forms are screened exactly (see ``_Screen``) and every
     survivor gets its float64 curve. Either way the counts are those of
@@ -398,7 +477,7 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
         if band is None:
             undecided = dict.fromkeys(classes, np.ones(len(survivors), dtype=bool))
         else:
-            decided, undecided = band.decide(form_curves(band.info, survivors))
+            decided, undecided = band.decide(survivors)
             for name, count in decided.items():
                 hits[name] += count
         rows = np.flatnonzero(np.logical_or.reduce(list(undecided.values())))

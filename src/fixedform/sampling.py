@@ -129,15 +129,19 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-@contextmanager
-def _pool(workers: int, chunks: int):
-    """A pool of ``min(workers, chunks, usable CPUs)`` threads, or None where that is one."""
+def _pool_threads(workers: int, draws: int) -> int:
+    """Threads that estimating ``draws`` forms per length runs on: min(workers, its chunks, usable CPUs)."""
     # pool.map submits every chunk at once: threads past the CPUs only hold chunk buffers.
-    workers = min(workers, chunks, _usable_cpus() or 1)
-    if workers == 1:
+    return min(workers, _chunk_count(draws), _usable_cpus() or 1)
+
+
+@contextmanager
+def _pool(threads: int):
+    """A pool of ``threads`` threads, or None where that is one."""
+    if threads == 1:
         yield None
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             yield pool
 
 
@@ -184,7 +188,7 @@ def _estimates(bank: ItemBank, seeds: dict[int, int], draws_by_mode: dict[str, i
     """Each mode's estimate at each length n, on ``seeds[n]``'s chunks: the driver of both entry points."""
     info = information_matrix(bank, target_curve.grid)
     out = {}
-    with _pool(workers, _chunk_count(max(draws_by_mode.values()))) as pool:
+    with _pool(_pool_threads(workers, max(draws_by_mode.values()))) as pool:
         for n, seed in seeds.items():
             hits = _length_hits(info, n, draws_by_mode, target_curve, epsilon, seed, pool)
             out[n] = {}

@@ -7,10 +7,13 @@ from fixedform import (
     BankGenSpec,
     TargetSpec,
     builtin_lsat_target,
+    fit_batch,
     generate_bank,
     save_bank,
     tabulate_target,
 )
+from fixedform import metrics
+from fixedform.irt import form_curves
 
 # Library names that happen to match pytest's collection patterns.
 fixedform.TestForm.__test__ = False
@@ -75,3 +78,29 @@ def bank300_csv(bank300, tmp_path_factory):
     path = tmp_path_factory.mktemp("banks") / "bank300.csv"
     save_bank(bank300, path)
     return path
+
+
+def unscreened_hits(info, ids, target_curve, epsilon, classes):
+    """The reference for count_hits: fit_batch on every form's float64 curve."""
+    fit = fit_batch(form_curves(info, ids), target_curve, epsilon, classes)
+    return {name: int(fit[name].sum()) for name in classes}
+
+
+def spy_curve_kernels(monkeypatch, record):
+    """Make count_hits call ``record(kernel, (dtype, nodes), forms)`` for each batch of curves it builds.
+
+    ``kernel`` is "gather" (form_curves) or "product" (indicator rows times
+    a table whose last column, ones, counts items and is not a node).
+    """
+    product_curves = metrics._product_curves
+
+    def gather(table, ids):
+        record("gather", (table.dtype.name, table.shape[1]), len(ids))
+        return form_curves(table, ids)
+
+    def product(table, ids):
+        record("product", (table.dtype.name, table.shape[1] - 1), len(ids))
+        return product_curves(table, ids)
+
+    monkeypatch.setattr(metrics, "form_curves", gather)
+    monkeypatch.setattr(metrics, "_product_curves", product)

@@ -19,6 +19,8 @@ from fixedform.irt import form_curves
 from fixedform.metrics import _Band, _l2_rows, _screen_nodes, count_hits, fit_batch
 from fixedform.sampling import _sample_batch
 
+from conftest import spy_curve_kernels, unscreened_hits
+
 CLASSES = ("absolute", "relative", "exceeding")
 
 
@@ -28,23 +30,15 @@ def one_item_per_row(rows):
     return info, np.arange(len(info))[:, None]
 
 
-def unscreened_hits(info, ids, target_curve, epsilon, classes):
-    """The reference: fit_batch on every form's float64 curve."""
-    fit = fit_batch(form_curves(info, ids), target_curve, epsilon, classes)
-    return {name: int(fit[name].sum()) for name in classes}
-
-
 @pytest.fixture
 def gathered(monkeypatch):
-    """Forms that form_curves sums, keyed by the matrix's dtype and node count."""
+    """Forms whose curves count_hits builds, by gather or product, keyed by dtype and node count."""
     rows = {}
 
-    def recording_form_curves(table, forms):
-        key = (table.dtype.name, table.shape[1])
-        rows[key] = rows.get(key, 0) + len(forms)
-        return form_curves(table, forms)
+    def record(kernel, key, forms):
+        rows[key] = rows.get(key, 0) + forms
 
-    monkeypatch.setattr(metrics, "form_curves", recording_form_curves)
+    spy_curve_kernels(monkeypatch, record)
     return rows
 
 
@@ -252,3 +246,84 @@ def test_where_meeting_hits_are_common_the_band_stops_after_one_block(bank12, gr
     gathered.clear()
     assert hits == unscreened_hits(info, ids, scaled_curve_12, 1.225, CLASSES)
     assert hits["relative"] > 0.9 * len(ids)
+
+
+@pytest.mark.parametrize("n, kernel", [(30, "gather"), (110, "product")])
+def test_the_band_gathers_or_multiplies_by_bank_size_and_length(bank300, grid, lsat_curve, monkeypatch, n, kernel):
+    # m <= _PRODUCT_RATIO * n takes products: at m = 300, n = 110 does and n = 30 does not.
+    info = information_matrix(bank300, grid)
+    ids = _sample_batch(bank300.m, n, 2048, np.random.default_rng(n))
+    kernels = set()
+    spy_curve_kernels(monkeypatch, lambda name, key, forms: kernels.add((name, key[0])))
+    hits = count_hits(info, ids, lsat_curve, 1.225, CLASSES)
+    assert {name for name, dtype in kernels if dtype == "float32"} == {kernel}
+    assert hits == unscreened_hits(info, ids, lsat_curve, 1.225, CLASSES)
+
+
+def subnormal_bank(grid, seed):
+    """Items with c = 0 and b far above the grid: most float32 information is subnormal or 0."""
+    spec = BankGenSpec(m=20, a_range=(1.0, 1.5), b_range=(80.0, 90.0), c_fixed=0.0, seed=seed)
+    return information_matrix(generate_bank(spec), grid)
+
+
+def test_a_subnormal_bank_is_subnormal_in_float32(grid):
+    info = subnormal_bank(grid, 0).astype(np.float32)
+    # 29% subnormal, 60% rounded to 0 and 11% normal.
+    assert np.mean((info > 0) & (info < 2.0**-126)) > 0.25 and np.mean(info == 0) > 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(subnormal=st.booleans(), length=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_product_curves_lie_within_the_band_of_the_exact_sum(bank300, subnormal, length, seed):
+    grid = AbilityGrid()
+    info = subnormal_bank(grid, seed % 1000) if subnormal else information_matrix(bank300, grid)
+    m = len(info)
+    n = 1 + round(length * (m - 1))
+    ids = _sample_batch(m, n, 24, np.random.default_rng(seed))
+    band = _Band(info, n, Curve(grid, np.ones(grid.num_points)), None, ("exceeding",))
+    c32 = metrics._product_curves(band.info, ids).astype(np.float64)
+    exact = np.array([[math.fsum(info[row, node]) for node in range(grid.num_points)] for row in ids])
+    assert np.all(np.abs(c32 - exact) <= band.relative * c32 + band.absolute)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_on_a_subnormal_bank_equal_the_float64_fit(grid, gathered, seed):
+    info = subnormal_bank(grid, seed)
+    ids = _sample_batch(len(info), 10, 3000, np.random.default_rng(seed))
+    target = Curve(grid, 0.8 * 10 * info.mean(axis=0))
+    epsilon = 0.5 * math.sqrt(float((target.values ** 2 * trapezoid_weights(grid)).sum()))
+    assert _Band.build(info, 10, target, epsilon, CLASSES).product
+    hits = count_hits(info, ids, target, epsilon, CLASSES)
+    assert gathered[("float32", grid.num_points)] > 0
+    assert hits == unscreened_hits(info, ids, target, epsilon, CLASSES)
+
+
+def with_repeats(ids, rng):
+    """``ids`` with every other row's second half replaced by ids drawn from its first half."""
+    ids = ids.copy()
+    half = ids.shape[1] // 2
+    for row in ids[::2]:
+        row[half:] = rng.choice(row[:half], ids.shape[1] - half)
+    return ids
+
+
+@pytest.mark.parametrize("path", ["band", "exact"])
+@pytest.mark.parametrize("bank, n, target", [
+    ("bank12", 6, "scaled_curve_12"),
+    ("bank300", 110, "lsat_curve"),
+    ("bank300", 70, "lsat_curve"),
+])
+def test_a_form_that_repeats_an_id_counts_it_twice(request, grid, path, bank, n, target):
+    # form_curves adds a repeated id once per copy; an indicator row holds it once.
+    bank, target = request.getfixturevalue(bank), request.getfixturevalue(target)
+    info = information_matrix(bank, grid)
+    rng = np.random.default_rng(n)
+    ids = with_repeats(_sample_batch(bank.m, n, 3000, rng), rng)
+    if path == "exact":
+        values = target.values.copy()
+        values[7] = 0.0
+        target = Curve(grid, values)
+    band = _Band.build(info, n, target, 1.225, CLASSES)
+    assert (band is not None and band.product) == (path == "band")
+    assert count_hits(info, ids, target, 1.225, CLASSES) == unscreened_hits(info, ids, target, 1.225, CLASSES)

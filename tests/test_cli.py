@@ -114,6 +114,22 @@ class TestSweepCommand:
         main(self.sweep_argv(bank12_csv, eight, scaled_target_arg, **{"--workers": "8"}))
         assert one.read_bytes() == eight.read_bytes()
 
+    @pytest.mark.parametrize("cpus, over, threads", [
+        (1, {"--workers": "2", "--K": "16384"}, 1),
+        (2, {"--workers": "2", "--K": "16384"}, 2),
+        (2, {"--workers": "2", "--K": "400"}, 1),
+        (2, {"--workers": "8", "--K-meeting": "400", "--K-exceeding": "20000"}, 2),
+        (2, {"--workers": "8", "--K-meeting": "400", "--K-exceeding": "20000", "--modes": "relative"}, 1),
+    ])
+    def test_manifest_records_the_threads_the_pool_opened(
+        self, tmp_path, bank12_csv, scaled_target_arg, monkeypatch, cpus, over, threads
+    ):
+        # The minimum of the workers, one length's 8192-draw chunks and the usable CPUs.
+        monkeypatch.setattr("fixedform.sampling._usable_cpus", lambda: cpus)
+        out = tmp_path / "sweep.csv"
+        assert main(self.sweep_argv(bank12_csv, out, scaled_target_arg, **over)) == EXIT_OK
+        assert read_manifest(out)["threads"] == threads
+
     def test_explicit_flags_beat_config_values(self, tmp_path, bank12_csv, scaled_target_arg):
         base = tmp_path / "base.csv"
         main(self.sweep_argv(bank12_csv, base, scaled_target_arg))

@@ -19,18 +19,13 @@ from fixedform import (
     trapezoid_weights,
 )
 from fixedform import metrics
-from fixedform.irt import form_curves
-from fixedform.metrics import _Screen, _screen_nodes, count_hits, fit_batch
+from fixedform.metrics import _Screen, _screen_nodes, count_hits
 from fixedform.sampling import _sample_batch
+
+from conftest import spy_curve_kernels, unscreened_hits
 
 CLASSES = ("exceeding", "absolute", "relative")
 CLASS_SUBSETS = [c for k in range(1, 4) for c in itertools.combinations(CLASSES, k)]
-
-
-def unscreened_hits(info, ids, target_curve, epsilon, classes):
-    """The reference: fit_batch on every form's full curve."""
-    fit = fit_batch(form_curves(info, ids), target_curve, epsilon, classes)
-    return {name: int(fit[name].sum()) for name in classes}
 
 
 @pytest.mark.parametrize("num_points, expected", [
@@ -135,11 +130,10 @@ def test_rows_reaching_the_screen_and_the_full_gather(bank300, grid, lsat_curve,
     ids = _sample_batch(bank300.m, n, 8192, np.random.default_rng(n))
     rows = {"screen": 0, "full": 0}
 
-    def recording_form_curves(table, forms):
-        rows["full" if table.shape[1] == grid.num_points else "screen"] += len(forms)
-        return form_curves(table, forms)
+    def record(kernel, key, forms):
+        rows["full" if key[1] == grid.num_points else "screen"] += forms
 
-    monkeypatch.setattr(metrics, "form_curves", recording_form_curves)
+    spy_curve_kernels(monkeypatch, record)
     hits = count_hits(info, ids, lsat_curve, None, ("exceeding",))
     assert hits == unscreened_hits(info, ids, lsat_curve, None, ("exceeding",))
     if n == 30:
