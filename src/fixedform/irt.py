@@ -241,9 +241,12 @@ def form_curves(info: np.ndarray, ids) -> np.ndarray:
     """Information curves of k forms at once; ``ids`` has shape (k, n).
 
     Row r adds the ``info`` rows ``ids[r]`` left to right, the order of
-    :func:`test_information`, so it matches that curve bit for bit.
+    :func:`test_information`, so it matches that curve bit for bit. A form
+    with no items has the zero curve.
     """
     columns = np.ascontiguousarray(np.asarray(ids, dtype=np.intp).T)
+    if not len(columns):
+        return np.zeros((columns.shape[1], info.shape[1]), dtype=info.dtype)
     curves = info.take(columns[0], axis=0)
     for column in columns[1:]:
         curves += info.take(column, axis=0)
@@ -257,9 +260,11 @@ def check_length(n: int, m: int) -> None:
 
 
 def check_items(item_ids, m: int) -> None:
-    """Reject item ids that are not in a bank of m items."""
-    if bad := [int(i) for i in item_ids if i >= m]:
-        raise UnknownItemError(f"item ids {bad} not in bank of {m} items")
+    """Reject item ids outside [0, m), the ids of a bank of m items, listing them in order."""
+    ids = np.asarray(item_ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= m):
+        bad = ids[(ids < 0) | (ids >= m)]
+        raise UnknownItemError(f"item ids {bad.tolist()} not in bank of {m} items")
 
 
 def test_information(bank: ItemBank, test: TestForm, grid: AbilityGrid) -> Curve:

@@ -26,8 +26,12 @@ order, so the products' order does not matter, and its absolute term, n *
 2**-125, also covers a BLAS kernel that flushes subnormals. Where that
 proof does not hold (information < 0, a target <= 0 somewhere, curves near
 float32's range), and once the band leaves a quarter of a block open, the
-screen runs exactly on float64 curves (``_Screen``) and every survivor gets
-``fit_batch``. No stage changes a count.
+band has zero width: the screen runs on float64 curves, where it is exact,
+and every survivor gets ``fit_batch``. The CLI, whose targets are > 0 and
+whose information is finite and >= 0, reaches it only where n * max(info)
+or the target is 2**120 or more, or once meeting hits are common enough to
+leave the quarter open; library callers also with information < 0 or a
+target <= 0 somewhere. No stage changes a count.
 
 ``FormSums`` counts them over every form of a bank, for exact enumeration.
 A form is kept as running sums over its items, built once for all the forms
@@ -47,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .irt import AbilityGrid, Curve, form_curves
+from .irt import AbilityGrid, Curve, check_items, form_curves
 
 __all__ = [
     "MODES",
@@ -215,141 +219,97 @@ def _screen_nodes(num_points: int) -> np.ndarray:
     return np.linspace(0, num_points - 1, min(num_points, _SCREEN_NODES)).round().astype(np.intp)
 
 
-class _Screen:
-    """An exact test, on a node subset S, of which forms can still be hits.
-
-    ``form_curves`` sums every node on its own, in the same column order, so
-    a screened value is bitwise the full curve's value at that node. Each
-    rule is written "reject iff bound > limit", so a NaN keeps the row. G is
-    the grid's node count and u the unit roundoff.
-
-    - exceeding: reject iff some node in S has curve <= target. No margin:
-      ``fit_batch`` compares the same floats.
-    - absolute: reject iff sum_S w*d**2 > eps**2 * (1 + 1e-9). Every term is
-      >= 0 and, but for one rounding, the full sum's term at that node, so
-      in any summation order the full computed sum is at least the screened
-      one times 1 - 2*G*u; a rounded sqrt < eps needs the sum < eps**2.
-    - relative: a hit needs lambda < 1, and for every lambda <= 1 the full
-      squared distance is at least the minimum over lambda <= 1 of the convex
-      quadratic q(lambda) = sum_S w*(lambda*c - t)**2 = lambda**2*a -
-      2*lambda*b + T_S (a = sum_S w*c**2, b = sum_S w*c*t, T_S = sum_S
-      w*t**2), attained at lambda^ = min(b / a, 1). Reject iff q(lambda^) >
-      eps**2 + 1e-9 * (eps**2 + sum_all w*t**2). For a hit |lambda^*c|_S <=
-      |t|_S + eps, so each of q's three terms is at most 2 * (eps**2 +
-      sum_all w*t**2), and the rounding of the sums, of lambda^ and of the
-      cancellation is a few G*u times that: far inside the margin. A row
-      that is zero on S makes lambda^ NaN and is kept.
-
-    ``misses`` can widen eps by a per-row slack; ``_Band`` uses that to apply
-    the meeting rules to float32 curves.
-    """
-
-    def __init__(self, info: np.ndarray, target_curve: Curve, epsilon: float | None,
-                 classes: tuple[str, ...]) -> None:
-        self.nodes = nodes = _screen_nodes(target_curve.grid.num_points)
-        weights = trapezoid_weights(target_curve.grid)
-        target = target_curve.values
-        self.info = info[:, nodes]
-        self.classes = classes
-        self.epsilon = epsilon
-        self.target = target[nodes]
-        self.weights = weights[nodes]
-        self.weighted_target = self.weights * self.target
-        self.target_norm = float(self.weighted_target @ self.target)
-        self.full_norm = float((target * target * weights).sum())
-        # Row reductions over S run as matrix-vector products: numpy's row
-        # sums and any() cost several times more on rows this short.
-        self.all_nodes = np.ones(len(nodes), dtype=bool)
-
-    def survivors(self, ids: np.ndarray) -> np.ndarray:
-        """The rows of ``ids`` that S cannot rule out of every class."""
-        return ids[self.keep(form_curves(self.info, ids))]
-
-    def keep(self, curves: np.ndarray) -> np.ndarray:
-        """Which rows of ``curves``, forms' values on S, S cannot rule out of every class."""
-        return _kept(self.misses(curves))
-
-    def misses(self, curves: np.ndarray, slack: np.ndarray | float = 0.0) -> dict[str, np.ndarray]:
-        """Per class, which rows of ``curves``, forms' values on S, S rules out, eps widened by ``slack``."""
-        out = {}
-        if "exceeding" in self.classes:
-            out["exceeding"] = (curves <= self.target) @ self.all_nodes
-        if "absolute" in self.classes or "relative" in self.classes:
-            eps = self.epsilon + slack
-            eps2 = eps * eps
-        if "absolute" in self.classes:
-            diff = curves - self.target
-            diff *= diff
-            out["absolute"] = diff @ self.weights > eps2 * (1.0 + _MARGIN)
-        if "relative" in self.classes:
-            a = (curves * curves) @ self.weights
-            b = curves @ self.weighted_target
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.minimum(b / a, 1.0)
-            q = (lam * a - 2.0 * b) * lam + self.target_norm
-            out["relative"] = q > eps2 + _MARGIN * (eps2 + self.full_norm)
-        return out
-
-
 class _Band:
-    """Float32 curves, and where they decide a form's classes as its float64 curve does.
+    """Forms' curves, and where they decide a form's classes as its float64 curve does.
 
     Let c64 be a form's ``form_curves`` curve on ``info``, summed left to
-    right, and c32 its curve on ``info`` rounded to float32, summed in any
-    order, and t the target. c32 is either ``form_curves``'s gather or the
-    product of the form's 0/1 item indicator row with the float32 matrix
-    (see ``_PRODUCT_RATIO``). In a product 0*x, 1*x and x + 0 are exact, and
-    a fused multiply-add rounds only its addition, so each output is a tree
-    of n - 1 rounded additions of disjoint subsets of the form's terms, in
-    whatever order the BLAS kernel chose. At every node
+    right, c its curve in the band's table, and t the target. At every node
 
-        |c32 - c64| <= beta = 2*(n + 2)*u*c32 + n*2**-125,   u = 2**-24.
+        |c - c64| <= beta = relative*c + absolute.
+
+    A float32 band sums ``info`` rounded to float32, in any order: c is
+    either ``form_curves``'s gather or the product of the form's 0/1 item
+    indicator row with the float32 matrix (see ``_PRODUCT_RATIO``). In a
+    product 0*x, 1*x and x + 0 are exact, and a fused multiply-add rounds
+    only its addition, so each output is a tree of n - 1 rounded additions
+    of disjoint subsets of the form's terms, in whatever order the BLAS
+    kernel chose. Its beta has relative = 2*(n + 2)*u and absolute =
+    n*2**-125, u = 2**-24.
 
     Why: let x be the n float64 terms (all >= 0) and X their exact sum. Each
     rounding to float32 moves a term by at most u*x + 2**-150. A kernel that
     flushes subnormals loses at most some whole terms below 2**-126: a
     flushed input is one, and a flushed sum of terms >= 0 lies below 2**-126
     and so is made of them. Otherwise a float sum is exact where it is
-    subnormal. So c32 is a tree sum, with a rounding of at most u relatively
+    subnormal. So c is a tree sum, with a rounding of at most u relatively
     per addition, of float32 terms whose exact sum Y has |Y - X| <= u*X +
     n*2**-126. A sum of n terms >= 0 in any order is within gamma_(n-1) =
     (n - 1)*u'/(1 - (n - 1)*u') of the exact sum, relatively, u' its unit
-    roundoff (Higham 2002, sec. 4.2): c32 of Y, c64 of X. Bounding X and Y
-    through c32, |c32 - c64| <= (8/7)*n*u*c32 + n*2**-126*(1 + 2u) while
-    n*u <= 1/16. beta is at least 7/4 of that; the excess covers the float64
+    roundoff (Higham 2002, sec. 4.2): c of Y, c64 of X. Bounding X and Y
+    through c, |c - c64| <= (8/7)*n*u*c + n*2**-126*(1 + 2u) while n*u <=
+    1/16. beta is at least 7/4 of that; the excess covers the float64
     rounding of beta and of the bounds below. The argument needs info >= 0,
-    no overflow in float32 (n * max(info) < 2**120) and a row of n items: an
-    indicator row holds a repeated id once, so the products also count each
-    row's items (a column of ones), and a row with fewer than n is left
-    open.
+    a target > 0, no overflow in float32 (n * max(info) and the target
+    below 2**120) and a row of n items: an indicator row holds a repeated id
+    once, so the products also count each row's items (a column of ones),
+    and a row with fewer than n is left open.
 
-    - exceeding: a hit where c32 > hit_floor, (t + n*2**-125) / (1 - 2*(n +
-      2)*u) rounded up to float32, at every node: then c64 >= c32 - beta >
-      t. A miss where c32 <= miss_ceiling, (t - n*2**-125) / (1 + 2*(n +
-      2)*u) rounded down, at some node: then c64 <= c32 + beta <= t.
-    - absolute: on the screen nodes S, |c64 - t|_S >= |c32 - t|_S - B by
-      the triangle inequality in the weighted norm, B = |beta|_S <= 2*(n +
-      2)*u*|c32|_S + n*2**-125*|1|_S. So ``_Screen``'s rule, with eps + B
-      for eps, rules out only forms whose screened distance on c64 exceeds
-      eps by about 1e-9/2 relatively, which ``_Screen``'s argument makes
-      misses of ``fit_batch``.
-    - relative: a hit's lambda = S_t / area lies in (0, 1), the target
-      being > 0, so |lambda*c32 - t|_S <= |lambda*c64 - t|_S + B, and
-      ``_Screen``'s argument holds for c32 with eps + B for eps.
+    Where the argument does not hold, or with ``exact``, the band is exact:
+    c is the gather on the float64 ``info``, bitwise c64 at every node
+    (``form_curves`` sums every node on its own, in the same column order),
+    and beta = 0. The rules below are the same at either width. Each is
+    written "a miss iff bound > limit", so a NaN keeps the row. On the node
+    subset S (``misses``), with B = |beta|_S <= relative*|c|_S +
+    absolute*|1|_S in the weighted norm, G the grid's node count and u'
+    float64's unit roundoff:
 
-    Every other form is left open, for ``fit_batch`` on its float64 curve.
+    - exceeding: a miss where c <= miss_ceiling, (t - absolute) / (1 +
+      relative) rounded down to float32 (t itself when exact), at some
+      node: then c64 <= c + beta <= t. An exact band needs no margin:
+      ``fit_batch`` compares the same floats.
+    - absolute: a miss iff sum_S w*(c - t)**2 > (eps + B)**2 * (1 + 1e-9).
+      By the triangle inequality |c64 - t|_S >= |c - t|_S - B, so the same
+      sum on c64 exceeds eps**2 by about 1e-9 relatively. Every term is >= 0
+      and, but for one rounding, the full sum's term at that node, so in
+      any summation order the full computed sum is at least the screened
+      one times 1 - 2*G*u'; a rounded sqrt < eps needs the sum < eps**2.
+    - relative: a hit needs lambda < 1, and for every lambda <= 1 the full
+      squared distance is at least the minimum over lambda <= 1 of the
+      convex quadratic q(lambda) = sum_S w*(lambda*c - t)**2 = lambda**2*a
+      - 2*lambda*b + T_S (a = sum_S w*c**2, b = sum_S w*c*t, T_S = sum_S
+      w*t**2), attained at lambda^ = min(b / a, 1). A miss iff q(lambda^) >
+      E**2 + 1e-9 * (E**2 + sum_all w*t**2), E = eps + B. Where B > 0 the
+      target is > 0, so a hit's lambda = S_t / area lies in (0, 1) and
+      |lambda*c - t|_S <= |lambda*c64 - t|_S + B. For a hit |lambda^*c|_S <= |t|_S + E, so each of q's three terms
+      is at most 2 * (E**2 + sum_all w*t**2), and the rounding of the sums,
+      of lambda^ and of the cancellation is a few G*u' times that: far
+      inside the margin. A row that is zero on S makes lambda^ NaN and is
+      kept.
+
+    ``decide`` applies the exceeding rule on the full grid, and calls a
+    form a hit where c > hit_floor, (t + absolute) / (1 - relative) rounded
+    up to float32, at every node: then c64 >= c - beta > t. Every other
+    form is left open, for ``fit_batch`` on its float64 curve; an exact
+    band leaves every form open, so no form gets two float64 gathers.
     """
 
     def __init__(self, info: np.ndarray, n: int, target_curve: Curve, epsilon: float | None,
-                 classes: tuple[str, ...]) -> None:
+                 classes: tuple[str, ...], exact: bool = False) -> None:
         target = target_curve.values
-        self.info = info.astype(np.float32)
+        weights = trapezoid_weights(target_curve.grid)
+        self.exact = exact or not (info.min() >= 0.0 and target.min() > 0.0 and n <= 2**20
+                                   and max(n * info.max(), target.max()) < 2.0**120)
+        self.info = info if self.exact else info.astype(np.float32)
         self.n = n
-        self.exceeding = "exceeding" in classes
-        # The meeting classes' rules are _Screen's; exceeding's work on the float32 bounds.
-        self.meeting = _Screen(info, target_curve, epsilon, tuple(c for c in classes if c != "exceeding"))
-        nodes = self.meeting.nodes
-        self.product = len(info) <= _PRODUCT_RATIO * n
+        self.classes = classes
+        self.epsilon = epsilon
+        self.nodes = nodes = _screen_nodes(target_curve.grid.num_points)
+        self.target = target[nodes]
+        self.weights = weights[nodes]
+        self.weighted_target = self.weights * self.target
+        self.target_norm = float(self.weighted_target @ self.target)
+        self.full_norm = float((target * target * weights).sum())
+        self.product = not self.exact and len(info) <= _PRODUCT_RATIO * n
         if self.product:
             # Each table's last column, ones, counts an indicator row's items.
             ones = np.ones((len(info), 1), dtype=np.float32)
@@ -358,54 +318,64 @@ class _Band:
         else:
             self.screen_table = self.info[:, nodes]
             self.full_table = self.info
-        # beta = relative * c32 + absolute; its weighted norm on S is at most
-        # relative * |c32|_S + absolute_norm.
-        self.relative = 2.0 * (n + 2) * 2.0**-24
-        self.absolute = n * 2.0**-125
-        self.absolute_norm = self.absolute * math.sqrt(float(self.meeting.weights.sum()))
-        self.hit_floor = _float32_toward((target + self.absolute) / (1.0 - self.relative), np.inf)
-        self.miss_ceiling = _float32_toward((target - self.absolute) / (1.0 + self.relative), -np.inf)
+        # beta = relative * c + absolute; its weighted norm on S is at most
+        # relative * |c|_S + absolute_norm.
+        self.relative = 0.0 if self.exact else 2.0 * (n + 2) * 2.0**-24
+        self.absolute = 0.0 if self.exact else n * 2.0**-125
+        self.absolute_norm = self.absolute * math.sqrt(float(self.weights.sum()))
+        self.hit_floor = (target + self.absolute) / (1.0 - self.relative)
+        self.miss_ceiling = (target - self.absolute) / (1.0 + self.relative)
+        if not self.exact:
+            self.hit_floor = _float32_toward(self.hit_floor, np.inf)
+            self.miss_ceiling = _float32_toward(self.miss_ceiling, -np.inf)
         self.screen_ceiling = self.miss_ceiling[nodes]
+        # Row reductions run as matrix-vector products: numpy's row sums and
+        # any() cost several times more on rows as short as S's.
+        self.all_screen_nodes = np.ones(len(nodes), dtype=bool)
         self.all_nodes = np.ones(len(target), dtype=bool)
 
-    @classmethod
-    def build(cls, info: np.ndarray, n: int, target_curve: Curve, epsilon: float | None,
-              classes: tuple[str, ...]) -> _Band | None:
-        """The band for n-item forms, or None where its argument does not hold."""
-        target = target_curve.values
-        fits = (info.min() >= 0.0 and target.min() > 0.0 and n <= 2**20
-                and max(n * info.max(), target.max()) < 2.0**120)
-        return cls(info, n, target_curve, epsilon, classes) if fits else None
-
     def _curves(self, table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (curves, whole): float32 curves of the forms ``ids`` on ``table``'s nodes, and which rows hold n items.
+        # (curves, whole): curves of the forms ``ids`` on ``table``'s nodes, and which rows hold n items.
         if not self.product:
             return form_curves(table, ids), np.ones(len(ids), dtype=bool)
         out = _product_curves(table, ids)
         return out[:, :-1], out[:, -1] == self.n
 
-    def _meeting_misses(self, screened: np.ndarray) -> dict[str, np.ndarray]:
-        # Per meeting class, which rows of float32 ``screened``, forms' values on S, the band rules out.
-        if not self.meeting.classes:
-            return {}
-        values = screened.astype(np.float64)
-        slack = self.relative * np.sqrt((values * values) @ self.meeting.weights) + self.absolute_norm
-        return self.meeting.misses(values, slack)
+    def misses(self, screened: np.ndarray, classes: Iterable[str]) -> dict[str, np.ndarray]:
+        """Per class in ``classes``, which rows of ``screened``, forms' values on S, the band rules out."""
+        out = {}
+        if "exceeding" in classes:
+            out["exceeding"] = (screened <= self.screen_ceiling) @ self.all_screen_nodes
+        if "absolute" in classes or "relative" in classes:
+            values = screened.astype(np.float64, copy=False)
+            a = (values * values) @ self.weights
+            eps = self.epsilon + (0.0 if self.exact else self.relative * np.sqrt(a) + self.absolute_norm)
+            eps2 = eps * eps
+        if "absolute" in classes:
+            diff = values - self.target
+            diff *= diff
+            out["absolute"] = diff @ self.weights > eps2 * (1.0 + _MARGIN)
+        if "relative" in classes:
+            b = values @ self.weighted_target
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = np.minimum(b / a, 1.0)
+            q = (lam * a - 2.0 * b) * lam + self.target_norm
+            out["relative"] = q > eps2 + _MARGIN * (eps2 + self.full_norm)
+        return out
 
     def survivors(self, ids: np.ndarray) -> np.ndarray:
         """The rows of ``ids`` that the band on S cannot rule out of every class."""
         curves, whole = self._curves(self.screen_table, ids)
-        misses = self._meeting_misses(curves)
-        if self.exceeding:
-            misses["exceeding"] = (curves <= self.screen_ceiling) @ self.meeting.all_nodes
-        return ids[_kept(misses) | ~whole]
+        return ids[_kept(self.misses(curves, self.classes)) | ~whole]
 
     def decide(self, ids: np.ndarray) -> tuple[dict[str, int], dict[str, np.ndarray]]:
         """(hits, open): per class, the hits the band proves among the forms ``ids`` and the rows it leaves open."""
+        if self.exact:
+            return {}, dict.fromkeys(self.classes, np.ones(len(ids), dtype=bool))
         curves, whole = self._curves(self.full_table, ids)
-        misses = self._meeting_misses(curves[:, self.meeting.nodes])
+        misses = self.misses(curves[:, self.nodes], [name for name in self.classes if name != "exceeding"])
         hits = dict.fromkeys(misses, 0)
-        if self.exceeding:
+        if "exceeding" in self.classes:
             hit = whole & ~((curves <= self.hit_floor) @ self.all_nodes)
             hits["exceeding"] = int(np.count_nonzero(hit))
             misses["exceeding"] = hit | (curves <= self.miss_ceiling) @ self.all_nodes
@@ -451,35 +421,34 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
     """Hits per fit class in ``classes`` among the forms whose item ids are the rows of ``ids``.
 
     ``classes`` is a subset of ``MODES``; the meeting classes need a finite
-    ``epsilon`` > 0. Where ``_Band``'s argument holds (information >= 0, a
-    target > 0 at every node and curves far inside float32's range), forms
-    are screened on a node subset and then decided on float32 curves
-    (indicator products where m <= 8 n, gathered elsewhere), and only a
-    form the band leaves open gets its float64 curve. Elsewhere, and
-    for the rest of the call once the band leaves more than a quarter of a
-    block open, forms are screened exactly (see ``_Screen``) and every
-    survivor gets its float64 curve. Either way the counts are those of
-    ``fit_batch`` on every form's float64 curve.
+    ``epsilon`` > 0, and every id must be a row of ``info``. Forms are
+    screened on a node subset and then decided on their curves in a
+    ``_Band``, and only a form the band leaves open gets its float64 curve
+    and ``fit_batch``. Where the band's argument holds (information >= 0, a
+    target > 0 at every node and curves far inside float32's range) the
+    band's curves are float32 (indicator products where m <= 8 n, gathered
+    elsewhere). Elsewhere, and for the rest of the call once the band
+    leaves more than a quarter of a block open, the band has zero width:
+    forms are screened exactly on float64 curves and every survivor is left
+    open. Either way the counts are those of ``fit_batch`` on every form's
+    float64 curve.
     """
     classes = check_modes(classes)
     if "absolute" in classes or "relative" in classes:
         check_epsilon(epsilon)
-    band = _Band.build(info, ids.shape[1], target_curve, epsilon, classes)
-    screen = _Screen(info, target_curve, epsilon, classes) if band is None else band
+    check_items(ids, len(info))
+    band = _Band(info, ids.shape[1], target_curve, epsilon, classes)
     screening = True
     hits = dict.fromkeys(classes, 0)
     for lo in range(0, len(ids), _SCREEN_BATCH):
         block = ids[lo : lo + _SCREEN_BATCH]
-        survivors = screen.survivors(block) if screening else block
+        survivors = band.survivors(block) if screening else block
         # The screen costs a quarter to a third of the full gather, so once it
         # keeps more than three quarters of a block the rest of the call skips it.
         screening = screening and 4 * len(survivors) <= 3 * len(block)
-        if band is None:
-            undecided = dict.fromkeys(classes, np.ones(len(survivors), dtype=bool))
-        else:
-            decided, undecided = band.decide(survivors)
-            for name, count in decided.items():
-                hits[name] += count
+        decided, undecided = band.decide(survivors)
+        for name, count in decided.items():
+            hits[name] += count
         rows = np.flatnonzero(np.logical_or.reduce(list(undecided.values())))
         for start in range(0, len(rows), _CURVE_BATCH):
             batch = rows[start : start + _CURVE_BATCH]
@@ -489,9 +458,9 @@ def count_hits(info: np.ndarray, ids: np.ndarray, target_curve: Curve,
                 hits[name] += int(np.count_nonzero(fit[name] & undecided[name][batch]))
         # The band proves no meeting hit, so where they are common most forms
         # need float64 curves anyway. Once the band leaves more than a quarter
-        # of a block open, the rest of the call takes the float64 path.
-        if band is not None and 4 * len(rows) > len(block):
-            band, screen = None, _Screen(info, target_curve, epsilon, classes)
+        # of a block open, the rest of the call takes the exact band.
+        if not band.exact and 4 * len(rows) > len(block):
+            band = _Band(info, ids.shape[1], target_curve, epsilon, classes, exact=True)
     return hits
 
 
@@ -576,7 +545,8 @@ class FormSums:
         self.info = info
         self.target_curve = target_curve
         self.epsilon = epsilon
-        self.screen = _Screen(info, target_curve, epsilon, ("exceeding",))
+        # Only the exact band's exceeding rule on S is used; n matters only to a float32 band.
+        self.screen = _Band(info, 0, target_curve, epsilon, ("exceeding",), exact=True)
         self.rule = _MeetingRule(info, target_curve, epsilon)
         m, num_points = info.shape
         weighted = info * trapezoid_weights(target_curve.grid)
@@ -588,9 +558,9 @@ class FormSums:
         self._gram_rows = m <= num_points
         twice = 2.0 * (np.einsum("ig,jg->ij", weighted, info) if self._gram_rows else weighted)
         # What each item adds to a row of sums: its node values, h, r, G[j, j] and its cross form.
-        self.increments = np.hstack([self.screen.info, self.rule.h[:, None], self.rule.r[:, None],
+        self.increments = np.hstack([self.screen.screen_table, self.rule.h[:, None], self.rule.r[:, None],
                                      np.einsum("ig,ig->i", weighted, info)[:, None], twice])
-        nodes = self.screen.info.shape[1]
+        nodes = len(self.screen.nodes)
         self._b, self._area, self._a, self._twice = nodes, nodes + 1, nodes + 2, nodes + 3
         self._forms = np.empty((0, self._twice))
 
@@ -618,15 +588,11 @@ class FormSums:
                 lo += run
         return out
 
-    def _curves(self, ids: np.ndarray) -> np.ndarray:
-        # form_curves, which needs at least one item per form, or the empty forms' zeros.
-        return form_curves(self.info, ids) if ids.shape[1] else np.zeros((len(ids), self.info.shape[1]))
-
     def count(self, sums: np.ndarray, ids: np.ndarray, first: int, runs: np.ndarray) -> dict[str, int]:
         """Hits per fit class in ``MODES`` among the forms that extend the block by ``runs``.
 
         A form's full curve, ``form_curves`` of its ids, is built only where
-        the exceeding screen (``_Screen``) keeps the form or ``_MeetingRule``
+        the exceeding screen (an exact ``_Band``) keeps the form or ``_MeetingRule``
         leaves it open; the counts are those of ``fit_batch`` on every form's
         curve.
         """
@@ -635,7 +601,7 @@ class FormSums:
         if len(self._forms) < total:
             self._forms = np.empty((total, self._twice))
         forms = self._extend(sums, first, runs, self._forms[:total])
-        open_forms = {"exceeding": self.screen.keep(forms[:, : self._b])}
+        open_forms = {"exceeding": ~self.screen.misses(forms[:, : self._b], ("exceeding",))["exceeding"]}
         hits = dict.fromkeys(MODES, 0)
         decided = self.rule.decide(forms[:, self._a], forms[:, self._b], forms[:, self._area])
         for name, (hit, undecided) in decided.items():
@@ -651,7 +617,7 @@ class FormSums:
             rows, items = rows[order], items[order]
             for lo in range(0, len(rows), _CURVE_BATCH):
                 prefixes, slots = np.unique(rows[lo : lo + _CURVE_BATCH], return_inverse=True)
-                curves = self._curves(ids[prefixes]).take(slots, axis=0)
+                curves = form_curves(self.info, ids[prefixes]).take(slots, axis=0)
                 curves += self.info.take(items[lo : lo + _CURVE_BATCH], axis=0)
                 hits[name] += int(fit_batch(curves, self.target_curve, self.epsilon, (name,))[name].sum())
         return hits

@@ -118,7 +118,7 @@ class TestBoundaryForms:
             ids += [[*range(first, first + n - 1), first + n - 1 + j] for j in range(3)]
             assert form_curves(np.array(rows), ids[-3:]).tobytes() == np.array(goals).tobytes()
         info, ids = np.array(rows), np.array(ids)
-        assert _Band.build(info, n, lsat_curve, None, ("exceeding",)) is not None
+        assert not _Band(info, n, lsat_curve, None, ("exceeding",)).exact
         # Each touch is a miss only in float64; so is each curve one ulp above the target a hit.
         assert count_hits(info, ids, lsat_curve, None, ("exceeding",)) == {"exceeding": 20}
         assert unscreened_hits(info, ids, lsat_curve, None, ("exceeding",)) == {"exceeding": 20}
@@ -160,7 +160,7 @@ class TestBoundaryForms:
     @pytest.mark.parametrize("name, scale", [("absolute", 1.0), ("relative", 2.0)])
     def test_meeting_just_inside_epsilon_on_the_screened_nodes(self, name, scale):
         target, epsilon, info, ids = self.meeting_rows(scale)
-        assert _Band.build(info, 1, target, epsilon, (name,)) is not None
+        assert not _Band(info, 1, target, epsilon, (name,)).exact
         assert count_hits(info, ids, target, epsilon, (name,)) == {name: 16}
         assert unscreened_hits(info, ids, target, epsilon, (name,)) == {name: 16}
 
@@ -204,7 +204,7 @@ class TestFloat64Path:
         values = lsat_curve.values.copy()
         values[7] = value
         target = Curve(self.grid, values)
-        assert _Band.build(info, 80, target, 1.225, CLASSES) is None
+        assert _Band(info, 80, target, 1.225, CLASSES).exact
         hits = count_hits(info, ids, target, 1.225, CLASSES)
         assert not any(dtype == "float32" for dtype, _ in gathered)
         assert hits == unscreened_hits(info, ids, target, 1.225, CLASSES)
@@ -217,7 +217,7 @@ class TestFloat64Path:
         info *= 2.0**power
         target = Curve(self.grid, 0.8 * 30 * info.mean(axis=0))
         epsilon = 0.3 * math.sqrt(float((target.values ** 2 * trapezoid_weights(self.grid)).sum()))
-        assert (_Band.build(info, 30, target, epsilon, CLASSES) is not None) == band
+        assert (not _Band(info, 30, target, epsilon, CLASSES).exact) == band
         hits = count_hits(info, ids, target, epsilon, CLASSES)
         assert any(dtype == "float32" for dtype, _ in gathered) == band
         assert hits == unscreened_hits(info, ids, target, epsilon, CLASSES)
@@ -293,7 +293,7 @@ def test_counts_on_a_subnormal_bank_equal_the_float64_fit(grid, gathered, seed):
     ids = _sample_batch(len(info), 10, 3000, np.random.default_rng(seed))
     target = Curve(grid, 0.8 * 10 * info.mean(axis=0))
     epsilon = 0.5 * math.sqrt(float((target.values ** 2 * trapezoid_weights(grid)).sum()))
-    assert _Band.build(info, 10, target, epsilon, CLASSES).product
+    assert _Band(info, 10, target, epsilon, CLASSES).product
     hits = count_hits(info, ids, target, epsilon, CLASSES)
     assert gathered[("float32", grid.num_points)] > 0
     assert hits == unscreened_hits(info, ids, target, epsilon, CLASSES)
@@ -324,6 +324,6 @@ def test_a_form_that_repeats_an_id_counts_it_twice(request, grid, path, bank, n,
         values = target.values.copy()
         values[7] = 0.0
         target = Curve(grid, values)
-    band = _Band.build(info, n, target, 1.225, CLASSES)
-    assert (band is not None and band.product) == (path == "band")
+    band = _Band(info, n, target, 1.225, CLASSES)
+    assert band.product == (path == "band")
     assert count_hits(info, ids, target, 1.225, CLASSES) == unscreened_hits(info, ids, target, 1.225, CLASSES)

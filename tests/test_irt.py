@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fixedform import (
     standard_error,
     test_information,
 )
-from fixedform.irt import check_length, form_curves
+from fixedform.irt import check_items, check_length, form_curves
 
 abilities = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 discriminations = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -282,3 +283,18 @@ class TestCheckLength:
     def test_rejects_lengths_out_of_range(self, n):
         with pytest.raises(ParameterError, match=rf"test length must lie in \[1, 12\], got {n}"):
             check_length(n, 12)
+
+
+class TestCheckItems:
+    @pytest.mark.parametrize("ids", [[], [0, 11], np.array([[3, 0], [11, 5]], dtype=np.uint16)])
+    def test_accepts_ids_in_range(self, ids):
+        check_items(ids, 12)
+
+    @pytest.mark.parametrize("ids, bad", [
+        ([-1, 3], "[-1]"),
+        ([12], "[12]"),
+        (np.array([[4, 12], [-3, 40]]), "[12, -3, 40]"),
+    ])
+    def test_rejects_ids_outside_the_bank_in_order(self, ids, bad):
+        with pytest.raises(UnknownItemError, match=rf"item ids {re.escape(bad)} not in bank of 12 items"):
+            check_items(ids, 12)

@@ -12,6 +12,7 @@ from fixedform import (
     BankGenSpec,
     Curve,
     ParameterError,
+    UnknownItemError,
     builtin_lsat_target,
     generate_bank,
     information_matrix,
@@ -19,7 +20,8 @@ from fixedform import (
     trapezoid_weights,
 )
 from fixedform import metrics
-from fixedform.metrics import _Screen, _screen_nodes, count_hits
+from fixedform.irt import form_curves
+from fixedform.metrics import _Band, _screen_nodes, count_hits
 from fixedform.sampling import _sample_batch
 
 from conftest import spy_curve_kernels, unscreened_hits
@@ -49,14 +51,20 @@ class TestScreenNeverChangesACount:
         eps_frac=st.floats(min_value=0.01, max_value=1.0),
         classes=st.sampled_from(CLASS_SUBSETS),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_at=st.none() | st.integers(min_value=0, max_value=240),
     )
-    def test_counts_equal_the_unscreened_fit(self, m, length, num_points, scale, eps_frac, classes, seed):
+    def test_counts_equal_the_unscreened_fit(self, m, length, num_points, scale, eps_frac, classes, seed, zero_at):
         grid = AbilityGrid(num_points=num_points)
         info = information_matrix(generate_bank(BankGenSpec(m=m, seed=seed % 1000)), grid)
         n = 1 + round(length * (m - 1))
         ids = _sample_batch(m, n, 300, np.random.default_rng(seed))
         # A target near the mean form's curve, so every class sees hits and near misses.
-        target = Curve(grid, scale * n * info.mean(axis=0))
+        values = scale * n * info.mean(axis=0)
+        if zero_at is not None:
+            # A target of 0 at one node: the whole call runs on the exact band.
+            values[zero_at % num_points] = 0.0
+            assert _Band(info, n, Curve(grid, values), None, classes).exact
+        target = Curve(grid, values)
         epsilon = eps_frac * math.sqrt(float((target.values ** 2 * trapezoid_weights(grid)).sum()))
         expected = unscreened_hits(info, ids, target, epsilon, classes)
         assert count_hits(info, ids, target, epsilon, classes) == expected
@@ -77,7 +85,7 @@ class TestBoundaryRows:
 
     def check(self, rows, epsilon, classes, kept, hits):
         info, ids = one_item_per_row(rows)
-        survivors = _Screen(info, self.target, epsilon, classes).survivors(ids)
+        survivors = _Band(info, 1, self.target, epsilon, classes, exact=True).survivors(ids)
         assert survivors[:, 0].tolist() == kept
         assert count_hits(info, ids, self.target, epsilon, classes) == hits
         assert hits == unscreened_hits(info, ids, self.target, epsilon, classes)
@@ -115,7 +123,7 @@ class TestBoundaryRows:
         hits = unscreened_hits(*one_item_per_row(rows), self.target, epsilon, ("relative",))
         assert hits == {"relative": 1}
         info, ids = one_item_per_row(rows)
-        assert 0 in _Screen(info, self.target, epsilon, ("relative",)).survivors(ids)[:, 0]
+        assert 0 in _Band(info, 1, self.target, epsilon, ("relative",), exact=True).survivors(ids)[:, 0]
         assert count_hits(info, ids, self.target, epsilon, ("relative",)) == hits
 
     def test_zero_area_row_is_kept_and_not_a_hit(self):
@@ -142,6 +150,26 @@ def test_rows_reaching_the_screen_and_the_full_gather(bank300, grid, lsat_curve,
     else:
         # Almost everything exceeds at n = 110: after one block the screen is skipped.
         assert rows["screen"] == metrics._SCREEN_BATCH and rows["full"] > 0.95 * len(ids)
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_count_hits_refuses_ids_outside_the_bank(bank12, grid, scaled_curve_12, bad):
+    # numpy's take would read -1 as item 11 and fail on 12 with a bare IndexError.
+    ids = np.array([[0, 1, 2], [3, bad, 5]])
+    with pytest.raises(UnknownItemError, match=rf"item ids \[{bad}\] not in bank of 12 items"):
+        count_hits(information_matrix(bank12, grid), ids, scaled_curve_12, 1.225, CLASSES)
+
+
+def test_forms_with_no_items_have_zero_curves(bank12, grid, scaled_curve_12):
+    info = information_matrix(bank12, grid)
+    ids = np.zeros((5, 0), dtype=np.intp)
+    for table in (info, info.astype(np.float32)):
+        curves = form_curves(table, ids)
+        assert curves.dtype == table.dtype and curves.shape == (5, grid.num_points) and not curves.any()
+    hits = count_hits(info, ids, scaled_curve_12, 1.225, CLASSES)
+    # The scaled target lies within epsilon of 0: every empty form meets it absolutely.
+    assert hits == unscreened_hits(info, ids, scaled_curve_12, 1.225, CLASSES)
+    assert hits == {"exceeding": 0, "absolute": 5, "relative": 0}
 
 
 @pytest.mark.parametrize("epsilon, classes, message", [
