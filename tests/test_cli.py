@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixedform import (
     DEFAULT_EPSILON,
+    __version__,
     binom_total,
     enumerate_exact,
     load_bank,
 )
-from fixedform.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fixedform.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
 from fixedform.sampling import SWEEP_HEADER
 
 
@@ -71,6 +75,19 @@ class TestGenBank:
         code = main(["gen-bank", "--m", "753", "--seed", "1", "-o", str(out)])
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 754
+
+    # sha256 of gen-bank CSVs as version 0.6.0 wrote them through csv.writer:
+    # the benchmark's two banks and one whose every float prints with an exponent.
+    @pytest.mark.parametrize("args, digest", [
+        ("--m 300 --seed 11", "1431e7589c5f4b6a20692b18f90708ae6e0024ebcd2092c59d53f8a0be3c02b2"),
+        ("--m 20 --seed 6", "620abd5dfb49370dbb5a867e3a471a78bec93490e718e547482e3f7023503dc5"),
+        ("--m 12 --seed 3 --a-min 1e-05 --a-max 2e-05 --b-min=-1e-12 --b-max=1e-12 --c 0.0",
+         "bf845d1e310f43eca6470daebc1340242ac9068669a6d5dbf16f08bfac3cf946"),
+    ])
+    def test_bank_bytes_are_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "bank.csv"
+        assert main(["gen-bank", *args.split(), "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweepCommand:
@@ -644,7 +661,68 @@ class TestMainDispatch:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert "fixedform" in capsys.readouterr().out
+        assert capsys.readouterr() == (f"fixedform {__version__}\n", "")
+
+    def test_version_flag_before_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version", "sweep"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (f"fixedform {__version__}\n", "")
+
+
+# Help texts and usage errors as version 0.6.0 printed them at 80 columns, when
+# main built every command's parser for every call.
+PARSER_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+COMMANDS = ["gen-bank", "sweep", "assemble", "counts", "enumerate"]
+
+
+class TestParserPerCommand:
+    """main builds only the parser of the command it runs, and prints what the full parser printed."""
+
+    @pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != PARSER_OUTPUTS["python"],
+                        reason="argparse's wording and layout differ between Python versions")
+    @pytest.mark.parametrize("line", sorted(PARSER_OUTPUTS["cases"]))
+    def test_help_and_usage_errors_are_byte_identical(self, monkeypatch, capsys, line):
+        monkeypatch.setenv("COLUMNS", str(PARSER_OUTPUTS["columns"]))
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out, err = capsys.readouterr()
+        assert {"code": code, "out": out, "err": err} == PARSER_OUTPUTS["cases"][line]
+
+    def test_build_parser_builds_every_command(self):
+        assert list(build_parser()[1]) == COMMANDS
+
+    @pytest.mark.parametrize("argv, built", [
+        (["gen-bank", "--m", "5", "--seed", "1"], ["gen-bank"]),
+        (["counts"], ["counts"]),
+        ([], COMMANDS),
+        (["--version"], COMMANDS),
+        (["assembl"], COMMANDS),
+    ])
+    def test_a_command_builds_only_its_own_parser(self, tmp_path, monkeypatch, capsys, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        with contextlib.suppress(SystemExit):
+            main([*argv, "-o", str(tmp_path / "out")] if argv and argv[0] in COMMANDS else argv)
+        assert names == built
+
+    def test_a_config_does_not_leak_into_the_next_call(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"m": 5, "c": 0.0}))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["gen-bank", "--seed", "1", "--config", str(config), "-o", str(first)]) == EXIT_OK
+        assert main(["gen-bank", "--seed", "1", "-o", str(second)]) == EXIT_OK
+        assert load_bank(first).m == 5
+        assert read_manifest(second)["parameters"] == {**read_manifest(first)["parameters"],
+                                                       "m": 300, "c": 0.2, "out": str(second)}
 
 
 class TestConfigValueTypes:
@@ -783,6 +861,28 @@ class TestMalformedInputFiles:
         assert str(files[bad]) in err
         assert all(str(path) not in err for kind, path in files.items() if kind != bad)
         assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e200", repr(sys.float_info.max)])
+@pytest.mark.parametrize("args, out", [
+    (["sweep", "--n-from", "3", "--n-to", "4", "--K", "3000", "--seed", "1"], "s.csv"),
+    (["enumerate", "--n", "4"], "e.json"),
+])
+def test_a_huge_epsilon_runs_without_warnings(tmp_path, bank12_csv, scaled_target_arg, capsys, args, out, epsilon):
+    # epsilon**2 overflows: every form meets the target absolutely.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*args, "--bank", str(bank12_csv), "--target", scaled_target_arg, "--epsilon", epsilon,
+                     "-o", str(tmp_path / out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
+    if out == "e.json":
+        doc = json.loads((tmp_path / out).read_text())
+        assert doc["N_A"] == doc["N"] == 495
+    else:
+        header, *rows = (tmp_path / out).read_text().splitlines()
+        assert [row.split(",")[header.split(",").index("mu_A")] for row in rows] == ["1.0", "1.0"]
 
 
 def test_an_overflowing_target_is_a_usage_error_without_warnings(tmp_path, bank12_csv, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,15 @@ class TestEnumerateMatchesPerFormRecount:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    @pytest.mark.parametrize("epsilon", [1e200, sys.float_info.max, np.float64(1e200)],
+                             ids=["1e200", "max", "np.float64-1e200"])
+    def test_an_epsilon_whose_square_overflows(self, bank12, scaled_curve_12, epsilon):
+        # Under the suite's warnings-as-errors an inf - inf in the meeting rule fails the test.
+        for n in (1, 4, 11):
+            counts = enumerate_exact(bank12, n, scaled_curve_12, epsilon)
+            assert counts._asdict() == {"total": counts.total, **recount(bank12, n, scaled_curve_12, epsilon)}
+            assert counts.absolute == counts.total
 
     def test_bad_epsilon_is_refused_up_front(self, bank12, scaled_curve_12):
         with pytest.raises(ParameterError, match="epsilon"):
